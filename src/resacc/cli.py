@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from .estimator import (
     estimate_ra,
     fit_sdc_rates,
     hardening_study,
-    ra_sw_baseline,
     ra_true_nc,
     uniform_site_mean,
 )
@@ -103,6 +103,26 @@ class RunOutputs:
                 p.unlink()
             except OSError:
                 pass
+
+
+class OracleProgress:
+    """``exhaustive_ra`` progress hook: a ``sites done / total`` line with an
+    ETA on stderr, at most one every ``interval`` seconds, and always the last.
+    Nothing of it reaches stdout or the output directory."""
+
+    def __init__(self, interval: float = 2.0, clock=time.monotonic):
+        self.interval = interval
+        self.clock = clock
+        self.start = self.shown = clock()
+
+    def __call__(self, done: int, total: int) -> None:
+        now = self.clock()
+        if done < total and now - self.shown < self.interval:
+            return
+        self.shown = now
+        eta = (now - self.start) * (total - done) / done
+        print(f"oracle: {done}/{total} sites ({100 * done / total:.0f}%), "
+              f"eta {eta:.0f} s", file=sys.stderr)
 
 
 def read_csv(path: str | Path, schema: str) -> list[list[str]]:
@@ -370,7 +390,8 @@ def cmd_oracle(args, out: RunOutputs) -> int:
     semantics = _semantics(args)
     spec_hash = _hash_for(args, need_evalset=True)
     result, archive = exhaustive_ra(
-        profile, config, net, evalset, semantics, max_inferences=args.max_inferences
+        profile, config, net, evalset, semantics, max_inferences=args.max_inferences,
+        progress=OracleProgress(),
     )
     table = build_table(profile, config)
     rows = []

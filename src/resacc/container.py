@@ -75,14 +75,27 @@ def save_network(net: MicroNetwork, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
+def _format(tag: int, path) -> NumericFormat:
+    if tag not in _TAG_FMT:
+        raise ContainerError(f"{path}: unknown numeric format tag {tag}")
+    return _TAG_FMT[tag]
+
+
 def load_network(path: str | Path) -> MicroNetwork:
     buf = memoryview(Path(path).read_bytes())
     if bytes(buf[:6]) != _NET_MAGIC:
         raise ContainerError(f"{path}: not a network container")
+    try:
+        return _parse_network(buf, path)
+    except struct.error as e:
+        raise ContainerError(f"{path}: truncated container: {e}") from e
+
+
+def _parse_network(buf: memoryview, path) -> MicroNetwork:
     version, fmt_tag = struct.unpack_from("<BB", buf, 6)
     if version != 1:
         raise ContainerError(f"{path}: unsupported container version {version}")
-    fmt = _TAG_FMT[fmt_tag]
+    fmt = _format(fmt_tag, path)
     off = 8
     input_shape, off = _read_shape(buf, off)
     (nlayers,) = struct.unpack_from("<B", buf, off)
@@ -133,12 +146,14 @@ def load_evalset(path: str | Path) -> tuple[EvalSet, NumericFormat]:
     buf = memoryview(Path(path).read_bytes())
     if bytes(buf[:6]) != _EVS_MAGIC:
         raise ContainerError(f"{path}: not an evalset container")
-    version, fmt_tag, count = struct.unpack_from("<BBI", buf, 6)
-    if version != 1:
-        raise ContainerError(f"{path}: unsupported container version {version}")
-    fmt = _TAG_FMT[fmt_tag]
-    off = 12
-    shape, off = _read_shape(buf, off)
+    try:
+        version, fmt_tag, count = struct.unpack_from("<BBI", buf, 6)
+        if version != 1:
+            raise ContainerError(f"{path}: unsupported container version {version}")
+        fmt = _format(fmt_tag, path)
+        shape, off = _read_shape(buf, 12)
+    except struct.error as e:
+        raise ContainerError(f"{path}: truncated container: {e}") from e
     labels = np.frombuffer(buf[off : off + 2 * count], dtype=np.uint16).astype(np.int64)
     off += 2 * count
     n = count * int(np.prod(shape)) * fmt.dtype.itemsize

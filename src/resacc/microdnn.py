@@ -12,9 +12,20 @@ three corruption semantics:
   elsewhere. This models the bounded residency of a value in one FF.
 * Crash — no inference result at all (global-control faults).
 
-The shared network is never mutated: flips are applied to private copies, and
-the affected output elements are recomputed with the same accumulation
-semantics as the clean kernels.
+Faults are evaluated one variable at a time, over every requested bit of it
+and every input of the evalset in one batch (:func:`faulty_predictions`).
+The clean activations of the whole evalset are computed once
+(:class:`ActivationCache`). The faulted layer's output starts as a copy of
+its cached clean output; only the elements that read the flipped value
+inside its reuse window are recomputed, and the bits x inputs batch then
+runs through the downstream layers as one forward.
+
+Bit-exactness: a recomputed element is summed sequentially in float64 from
+0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
+``kernels.fc_elem``; every other element is the cached clean value, which
+the whole-layer kernels produce. The batched kernels give every batch item
+the bits they give it alone, so a faulty inference does not depend on what
+else is in its batch. The shared network and the cache are never mutated.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .formats import NumericFormat, flip_bit
+from .formats import NumericFormat, flip_bit_array
 from .profile import (
     CONTROL_LAYER,
     AcceleratorConfig,
@@ -157,17 +168,6 @@ class FaultSemantics(enum.Enum):
     SW = "sw"
 
 
-class CrashOutcome:
-    """Returned in place of a class prediction when the fault crashes the
-    accelerator."""
-
-    def __repr__(self):
-        return "CrashOutcome"
-
-
-CRASH = CrashOutcome()
-
-
 def make_fault(
     site: SoftwareFaultSite,
     config: AcceleratorConfig,
@@ -209,182 +209,76 @@ def _cast(a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
         return a.astype(fmt.dtype)
 
 
-def _apply_layer(layer: Layer, x: np.ndarray, fmt: NumericFormat) -> np.ndarray:
+def _apply_layer(layer: Layer, a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
+    """One layer over a batch: ``a`` has a leading batch axis."""
     if isinstance(layer, Conv2D):
         out = kernels.conv2d(
-            x.astype(np.float64), layer.weight.astype(np.float64), layer.stride, layer.pad
+            a.astype(np.float64), layer.weight.astype(np.float64), layer.stride, layer.pad
         )
         return _cast(out, fmt)
     if isinstance(layer, FC):
-        out = kernels.fc(x.astype(np.float64), layer.weight.astype(np.float64))
-        return _cast(out, fmt)
+        return _cast(kernels.fc(a.astype(np.float64), layer.weight.astype(np.float64)), fmt)
     if isinstance(layer, ReLU):
-        return np.maximum(x, x.dtype.type(0))
+        return np.maximum(a, a.dtype.type(0))
     if isinstance(layer, MaxPool2D):
-        return _cast(kernels.maxpool2d(x.astype(np.float64), layer.kernel, layer.stride), fmt)
+        # A maximum is one of its inputs, so it needs no float64 copy.
+        return _cast(kernels.maxpool2d(a, layer.kernel, layer.stride), fmt)
     if isinstance(layer, Flatten):
-        return x.reshape(-1)
+        return a.reshape(len(a), -1)
     if isinstance(layer, Softmax):
-        z = x.astype(np.float64)
-        finite = z[np.isfinite(z)]
-        hi = finite.max() if finite.size else 0.0
+        z = a.reshape(len(a), -1).astype(np.float64)
+        finite = np.isfinite(z)
+        hi = np.where(finite, z, -np.inf).max(axis=1, keepdims=True)
+        hi[~finite.any(axis=1)] = 0.0
         e = np.exp(z - hi)
-        return _cast(e / e.sum(), fmt)
+        return _cast(e / e.sum(axis=1, keepdims=True), fmt).reshape(a.shape)
     raise ValueError(f"unsupported layer kind: {type(layer).__name__}")
 
 
-def _argmax(logits: np.ndarray) -> int:
-    """Argmax with NaN losing every comparison; ties break to lowest index."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = np.where(np.isnan(z), -np.inf, z)
-    return int(np.argmax(z))
+def _predict(logits: np.ndarray) -> np.ndarray:
+    """Argmax of each batch item, NaN losing every comparison; ties break to
+    the lowest index."""
+    z = logits.reshape(len(logits), -1).astype(np.float64)
+    z[np.isnan(z)] = -np.inf
+    return np.argmax(z, axis=1)
 
 
-def forward(net: MicroNetwork, x: np.ndarray) -> np.ndarray:
-    a = np.asarray(x, dtype=net.numeric_format.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
+def _layer_outputs(net: MicroNetwork, inputs: np.ndarray):
+    """The batch ``inputs`` in the storage format, then each layer's output."""
+    a = np.asarray(inputs, dtype=net.numeric_format.dtype)
+    if a.shape[1:] != tuple(net.input_shape):
+        raise ValueError(f"input shape {a.shape[1:]} != {net.input_shape}")
+    yield a
+    with np.errstate(all="ignore"):
         for layer in net.layers:
             a = _apply_layer(layer, a, net.numeric_format)
+            yield a
+
+
+def _forward(net: MicroNetwork, inputs: np.ndarray) -> np.ndarray:
+    for a in _layer_outputs(net, inputs):
+        pass
     return a
 
 
+def forward(net: MicroNetwork, x: np.ndarray) -> np.ndarray:
+    return _forward(net, np.asarray(x)[None])[0]
+
+
 def infer(net: MicroNetwork, x: np.ndarray) -> int:
-    if tuple(np.shape(x)) != tuple(net.input_shape):
-        raise ValueError(f"input shape {np.shape(x)} != {net.input_shape}")
-    return _argmax(forward(net, x))
+    return int(_predict(_forward(net, np.asarray(x)[None]))[0])
 
 
 def clean_activations(net: MicroNetwork, x: np.ndarray) -> list[np.ndarray]:
-    """Per-layer inputs plus the final output, all in the storage format."""
-    a = np.asarray(x, dtype=net.numeric_format.dtype)
-    acts = [a]
-    for layer in net.layers:
-        a = _apply_layer(layer, a, net.numeric_format)
-        acts.append(a)
-    return acts
+    """Per-layer inputs plus the final output of one input, all in the
+    storage format."""
+    return [a[0] for a in _layer_outputs(net, np.asarray(x)[None])]
 
 
 # --- faulty forward --------------------------------------------------------
 
-def _conv_input_positions(layer: Conv2D, in_shape, iy: int, iz: int) -> list[tuple[int, int]]:
-    """Output spatial positions whose receptive field covers input (iy, iz),
-    in row-major order."""
-    _, ih, iw = in_shape
-    _, _, kh, kw = layer.weight.shape
-    oh, ow = _conv_out_hw(ih, iw, kh, kw, layer.stride, layer.pad)
-    pos = []
-    for y in range(oh):
-        dy = iy - (y * layer.stride - layer.pad)
-        if not 0 <= dy < kh:
-            continue
-        for z in range(ow):
-            dz = iz - (z * layer.stride - layer.pad)
-            if 0 <= dz < kw:
-                pos.append((y, z))
-    return pos
-
-
-def _faulty_layer_output(
-    layer: Layer,
-    x: np.ndarray,
-    fmt: NumericFormat,
-    var_type: FFType,
-    var_index: int,
-    bit_pos: int,
-    fault: FaultSpec,
-) -> np.ndarray:
-    """Apply one layer with a bit flip injected into its weights or input.
-
-    Output-activation flips are handled by the caller (they corrupt the value
-    after it is produced).
-    """
-    if var_type is FFType.WEIGHT:
-        w = getattr(layer, "weight", None)
-        if w is None:
-            raise ValueError("weight fault on a layer without weights")
-        wf = w.copy()
-        flat = wf.reshape(-1)
-        flat[var_index] = flip_bit(flat[var_index], bit_pos, fmt)
-        if isinstance(layer, FC):
-            # Each FC weight is read once per inference.
-            r, _ = divmod(var_index, w.shape[1])
-            out = kernels.fc(x.astype(np.float64), w.astype(np.float64))
-            out[r] = kernels.fc_elem(x.astype(np.float64), wf.astype(np.float64), r)
-            return _cast(out, fmt)
-        assert isinstance(layer, Conv2D)
-        oc, _, _, _ = np.unravel_index(var_index, w.shape)
-        _, oh, ow = _out_shape_conv(layer, x.shape)
-        total_uses = oh * ow
-        start, count = _window(var_index, total_uses, fault)
-        x64 = x.astype(np.float64)
-        out = kernels.conv2d(x64, w.astype(np.float64), layer.stride, layer.pad)
-        wf64 = wf.astype(np.float64)
-        for u in range(start, start + count):
-            y, z = divmod(u, ow)
-            out[oc, y, z] = kernels.conv2d_elem(x64, wf64, int(oc), y, z, layer.stride, layer.pad)
-        return _cast(out, fmt)
-
-    assert var_type is FFType.INPUT_ACTIVATION
-    xf = x.copy()
-    flat = xf.reshape(-1)
-    flat[var_index] = flip_bit(flat[var_index], bit_pos, fmt)
-    if isinstance(layer, FC):
-        n_out = layer.weight.shape[0]
-        start, count = _window(var_index, n_out, fault)
-        w64 = layer.weight.astype(np.float64)
-        out = kernels.fc(x.astype(np.float64), w64)
-        xf64 = xf.astype(np.float64)
-        for r in range(start, start + count):
-            out[r] = kernels.fc_elem(xf64, w64, r)
-        return _cast(out, fmt)
-    if isinstance(layer, Conv2D):
-        c, iy, iz = np.unravel_index(var_index, x.shape)
-        positions = _conv_input_positions(layer, x.shape, int(iy), int(iz))
-        n_oc = layer.weight.shape[0]
-        total_uses = len(positions) * n_oc
-        start, count = _window(var_index, total_uses, fault)
-        w64 = layer.weight.astype(np.float64)
-        out = kernels.conv2d(x.astype(np.float64), w64, layer.stride, layer.pad)
-        xf64 = xf.astype(np.float64)
-        _, oh, ow = _out_shape_conv(layer, x.shape)
-        for u in range(start, start + count):
-            p, o = divmod(u, n_oc)
-            y, z = positions[p]
-            out[o, y, z] = kernels.conv2d_elem(xf64, w64, o, y, z, layer.stride, layer.pad)
-        return _cast(out, fmt)
-    if isinstance(layer, ReLU):
-        out = np.maximum(x, x.dtype.type(0)).copy()
-        oflat = out.reshape(-1)
-        v = flat[var_index]
-        oflat[var_index] = max(v, v.dtype.type(0)) if v == v else v
-        return out
-    if isinstance(layer, MaxPool2D):
-        c, iy, iz = np.unravel_index(var_index, x.shape)
-        out64 = kernels.maxpool2d(x.astype(np.float64), layer.kernel, layer.stride)
-        xf64 = xf.astype(np.float64)
-        _, ih, iw = x.shape
-        oh = (ih - layer.kernel) // layer.stride + 1
-        ow = (iw - layer.kernel) // layer.stride + 1
-        windows = []
-        for y in range(oh):
-            if not 0 <= iy - y * layer.stride < layer.kernel:
-                continue
-            for z in range(ow):
-                if 0 <= iz - z * layer.stride < layer.kernel:
-                    windows.append((y, z))
-        start, count = _window(var_index, len(windows), fault)
-        for y, z in windows[start : start + count]:
-            patch = xf64[c, y * layer.stride : y * layer.stride + layer.kernel,
-                         z * layer.stride : z * layer.stride + layer.kernel]
-            out64[c, y, z] = np.fmax.reduce(patch, axis=None)
-        return _cast(out64, fmt)
-    raise ValueError(f"input-activation fault unsupported on {type(layer).__name__}")
-
-
-def _out_shape_conv(layer: Conv2D, in_shape):
-    oc, _, kh, kw = layer.weight.shape
-    oh, ow = _conv_out_hw(in_shape[1], in_shape[2], kh, kw, layer.stride, layer.pad)
-    return oc, oh, ow
+CRASHED = -1  # the prediction recorded for an inference the fault crashed
+BATCH_BYTES = 1 << 25  # float64 bytes of the widest activation of one faulty batch
 
 
 def total_weight_count(net: MicroNetwork) -> int:
@@ -411,54 +305,185 @@ def _local_control_target(
     raise AssertionError("unreachable")
 
 
-def infer_faulty(
-    net: MicroNetwork,
+def _flipped(values: np.ndarray, bits: list[int], fmt: NumericFormat) -> np.ndarray:
+    """``values`` with one bit flipped, for each of ``bits``: (F, *shape)."""
+    return np.stack([flip_bit_array(values, b, fmt) for b in bits])
+
+
+def _conv_terms(layer: Conv2D, x64: np.ndarray, o, y, z):
+    """Clean products x * w of conv output elements (o[e], y[e], z[e]) over n
+    inputs, in fan-in order: (n, E, K), 0.0 where the element kernel skips a
+    padded position; with the fan-in positions' input values (n, E, K) and
+    whether they lie inside the input (E, K)."""
+    _, ih, iw = x64.shape[1:]
+    _, ic, kh, kw = layer.weight.shape
+    c, ky, kz = (g.reshape(-1) for g in np.indices((ic, kh, kw)))
+    sy = (y * layer.stride - layer.pad)[:, None] + ky
+    sz = (z * layer.stride - layer.pad)[:, None] + kz
+    inside = (sy >= 0) & (sy < ih) & (sz >= 0) & (sz < iw)
+    xs = x64[:, c, np.clip(sy, 0, ih - 1), np.clip(sz, 0, iw - 1)]
+    w64 = layer.weight.astype(np.float64).reshape(len(layer.weight), -1)
+    return np.where(inside, xs * w64[o], 0.0), xs, inside
+
+
+def _faulty_outputs(
+    layer: Layer,
     x: np.ndarray,
+    clean: np.ndarray,
+    fmt: NumericFormat,
+    var_type: FFType,
+    var_index: int,
+    bits: list[int],
+    fault: FaultSpec,
+) -> np.ndarray:
+    """One layer's output over a batch of inputs with one of its variables
+    flipped, for each of ``bits``: (F, *clean.shape).
+
+    ``x`` and ``clean`` are the layer's cached clean input and output. The
+    output elements that read the flipped value inside its reuse window are
+    recomputed, summed sequentially (``kernels.dot_sequential``); every other
+    element is copied from ``clean``.
+    """
+    n = len(x)
+    out = np.broadcast_to(clean, (len(bits),) + clean.shape).copy()
+    flat = out.reshape(len(bits), n, -1)
+    if var_type is FFType.OUTPUT_ACTIVATION:
+        values = clean.reshape(n, -1)
+        if var_index >= values.shape[1]:
+            raise ValueError("var_index out of range for output activation")
+        flat[:, :, var_index] = _flipped(values[:, var_index], bits, fmt)
+        return out
+
+    x64 = x.astype(np.float64)
+    if var_type is FFType.WEIGHT:
+        w = getattr(layer, "weight", None)
+        if w is None:
+            raise ValueError("weight fault on a layer without weights")
+        wf = _flipped(w.reshape(-1)[var_index : var_index + 1], bits, fmt).astype(np.float64)
+        if isinstance(layer, FC):
+            # Each FC weight is read once per inference.
+            r, c = divmod(var_index, w.shape[1])
+            elems = np.array([r])
+            terms = (x64 * w[r].astype(np.float64))[:, None, :]
+            hit_k = np.array([c])
+            faulty = wf[:, :, None] * x64[:, c][None, :, None]
+        else:
+            assert isinstance(layer, Conv2D)
+            o, c, ky, kz = np.unravel_index(var_index, w.shape)
+            _, oh, ow = clean.shape[1:]
+            start, count = _window(var_index, oh * ow, fault)
+            u = np.arange(start, start + count)
+            elems = o * oh * ow + u
+            terms, xs, inside = _conv_terms(layer, x64, np.full(count, o), u // ow, u % ow)
+            k = np.ravel_multi_index((c, ky, kz), w.shape[1:])
+            hit_k = np.full(count, k)
+            faulty = np.where(inside[:, k], wf[:, :, None] * xs[None, :, :, k], 0.0)
+    else:
+        assert var_type is FFType.INPUT_ACTIVATION
+        xf = _flipped(x.reshape(n, -1)[:, var_index], bits, fmt)  # (F, n)
+        if isinstance(layer, ReLU):
+            flat[:, :, var_index] = np.where(xf < 0, xf.dtype.type(0), xf)
+            return out
+        xf64 = xf.astype(np.float64)
+        if isinstance(layer, FC):
+            start, count = _window(var_index, layer.weight.shape[0], fault)
+            elems = np.arange(start, start + count)
+            w64 = layer.weight[elems].astype(np.float64)
+            terms = x64[:, None, :] * w64[None]
+            hit_k = np.full(count, var_index)
+            faulty = xf64[:, :, None] * w64[:, var_index]
+        elif isinstance(layer, Conv2D):
+            c, iy, iz = np.unravel_index(var_index, x.shape[1:])
+            n_oc, _, kh, kw = layer.weight.shape
+            _, oh, ow = clean.shape[1:]
+            # Output positions whose receptive field covers (iy, iz), row-major;
+            # each is used once per output channel.
+            dy = iy - (np.arange(oh) * layer.stride - layer.pad)
+            dz = iz - (np.arange(ow) * layer.stride - layer.pad)
+            py, pz = np.meshgrid(np.flatnonzero((dy >= 0) & (dy < kh)),
+                                 np.flatnonzero((dz >= 0) & (dz < kw)), indexing="ij")
+            py, pz = py.reshape(-1), pz.reshape(-1)
+            start, count = _window(var_index, len(py) * n_oc, fault)
+            p, o = np.divmod(np.arange(start, start + count), n_oc)
+            y, z = py[p], pz[p]
+            elems = (o * oh + y) * ow + z
+            terms, _, _ = _conv_terms(layer, x64, o, y, z)
+            ky, kz = dy[y], dz[z]
+            hit_k = (c * kh + ky) * kw + kz
+            w_hit = layer.weight[o, c, ky, kz].astype(np.float64)
+            faulty = xf64[:, :, None] * w_hit
+        elif isinstance(layer, MaxPool2D):
+            c, iy, iz = np.unravel_index(var_index, x.shape[1:])
+            k, s = layer.kernel, layer.stride
+            _, oh, ow = clean.shape[1:]
+            dy = iy - np.arange(oh) * s
+            dz = iz - np.arange(ow) * s
+            wy, wz = np.meshgrid(np.flatnonzero((dy >= 0) & (dy < k)),
+                                 np.flatnonzero((dz >= 0) & (dz < k)), indexing="ij")
+            wy, wz = wy.reshape(-1), wz.reshape(-1)
+            start, count = _window(var_index, len(wy), fault)
+            y, z = wy[start : start + count], wz[start : start + count]
+            ky, kz = (g.reshape(-1) for g in np.indices((k, k)))
+            patches = x64[:, c, (y * s)[:, None] + ky, (z * s)[:, None] + kz]  # (n, E, k*k)
+            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).copy()
+            patches[:, :, np.arange(count), dy[y] * k + dz[z]] = xf64[:, :, None]
+            flat[:, :, (c * oh + y) * ow + z] = _cast(np.fmax.reduce(patches, axis=3), fmt)
+            return out
+        else:
+            raise ValueError(f"input-activation fault unsupported on {type(layer).__name__}")
+    if len(elems):
+        flat[:, :, elems] = _cast(kernels.dot_sequential(terms, hit_k, faulty), fmt)
+    return out
+
+
+def faulty_predictions(
+    net: MicroNetwork,
     fault: FaultSpec,
     profile: NetworkProfile,
-    acts: list[np.ndarray] | None = None,
-):
-    """Predict under a single injected fault; returns a class index or CRASH.
+    cache: ActivationCache,
+    bits,
+) -> np.ndarray:
+    """Predicted class of every cached input with the fault's variable
+    flipped, for each of ``bits``: an int array (len(bits), n_inputs),
+    CRASHED where the fault crashes the accelerator. ``fault.site`` names the
+    variable; its ``bit_pos`` is not read.
 
-    `acts` is an optional precomputed clean activation list for this input
-    (the fault-free prefix of the forward pass is identical and reusable).
+    The faulted layer's output starts from its cached clean output, and the
+    bits x inputs batch then runs through the downstream layers as one
+    forward (in chunks of inputs, for a large evalset).
     """
-    site = fault.site
+    bits = [int(b) for b in bits]
+    n = len(cache.acts[0])
     if fault.mode is FaultMode.CRASH:
-        return CRASH
+        return np.full((len(bits), n), CRASHED)
+    site = fault.site
     if site.var_type is FFType.CONTROL_LOCAL:
         layer_id, widx = _local_control_target(net, profile, site.var_index)
         site = SoftwareFaultSite(layer_id, FFType.WEIGHT, widx, site.bit_pos)
-        fault = FaultSpec(site, fault.mode, fault.reuse)
     if site.layer_id == CONTROL_LAYER:
         raise ValueError("control-global sites must carry CRASH mode")
 
-    layer_stats = profile.layer(site.layer_id)
-    net_index = layer_stats.net_index
+    net_index = profile.layer(site.layer_id).net_index
     if net_index < 0 or net_index >= len(net.layers):
         raise ValueError(f"profile layer {site.layer_id} has no backing network layer")
     fmt = net.numeric_format
-    with np.errstate(over="ignore", invalid="ignore"):
-        if acts is None:
-            acts = [np.asarray(x, dtype=fmt.dtype)]
-            for layer in net.layers[:net_index + (1 if site.var_type is FFType.OUTPUT_ACTIVATION else 0)]:
-                acts.append(_apply_layer(layer, acts[-1], fmt))
-
-        if site.var_type is FFType.OUTPUT_ACTIVATION:
-            out = acts[net_index + 1].copy()
-            flat = out.reshape(-1)
-            if site.var_index >= flat.size:
-                raise ValueError("var_index out of range for output activation")
-            flat[site.var_index] = flip_bit(flat[site.var_index], site.bit_pos, fmt)
-            a = out
-        else:
-            a = _faulty_layer_output(
-                net.layers[net_index], acts[net_index], fmt,
-                site.var_type, site.var_index, site.bit_pos, fault,
+    # Inputs go in chunks whose float64 activations stay within BATCH_BYTES;
+    # every kernel treats batch items alone, so chunking changes no result.
+    widest = max(int(np.prod(s)) for s in net._shapes[net_index:])
+    step = max(1, BATCH_BYTES // (8 * len(bits) * widest))
+    preds = []
+    with np.errstate(all="ignore"):
+        for i in range(0, n, step):
+            a = _faulty_outputs(
+                net.layers[net_index], cache.acts[net_index][i : i + step],
+                cache.acts[net_index + 1][i : i + step], fmt,
+                site.var_type, site.var_index, bits, fault,
             )
-        for layer in net.layers[net_index + 1 :]:
-            a = _apply_layer(layer, a, fmt)
-    return _argmax(a)
+            a = a.reshape((-1,) + a.shape[2:])
+            for layer in net.layers[net_index + 1 :]:
+                a = _apply_layer(layer, a, fmt)
+            preds.append(_predict(a).reshape(len(bits), -1))
+    return np.concatenate(preds, axis=1)
 
 
 # --- evaluation ------------------------------------------------------------
@@ -480,10 +505,27 @@ class EvalSet:
 
 
 class ActivationCache:
-    """Clean per-input activations, shared across fault evaluations."""
+    """Clean activations of a whole evalset, shared across fault evaluations:
+    ``acts[i]`` is the input of layer i stacked over the inputs,
+    (n_inputs, *shape), and ``acts[-1]`` the network output."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
-        self.acts = [clean_activations(net, x) for x in evalset.inputs]
+        self.acts = list(_layer_outputs(net, evalset.inputs))
+
+
+def bit_accuracies(
+    net: MicroNetwork,
+    evalset: EvalSet,
+    fault: FaultSpec,
+    profile: NetworkProfile,
+    cache: ActivationCache,
+    bits,
+) -> np.ndarray:
+    """Accuracy with the fault's variable flipped, for each of ``bits``
+    (see :func:`faulty_predictions`). A crashed inference counts as
+    incorrect."""
+    preds = faulty_predictions(net, fault, profile, cache, bits)
+    return np.count_nonzero(preds == evalset.labels, axis=1) / evalset.size
 
 
 def accuracy(
@@ -496,19 +538,12 @@ def accuracy(
     """Fraction of correct predictions; the standard accuracy when no fault
     is given. A crashed inference counts as incorrect."""
     if fault is None:
-        correct = 0
-        for x, label in zip(evalset.inputs, evalset.labels):
-            if infer(net, x) == int(label):
-                correct += 1
-        return correct / evalset.size
+        preds = _predict(_forward(net, evalset.inputs))
+        return np.count_nonzero(preds == evalset.labels) / evalset.size
     if fault.mode is FaultMode.CRASH:
         return 0.0
     if profile is None:
         raise ValueError("faulty accuracy requires the network profile")
-    correct = 0
-    for i, (x, label) in enumerate(zip(evalset.inputs, evalset.labels)):
-        acts = cache.acts[i] if cache is not None else None
-        pred = infer_faulty(net, x, fault, profile, acts=acts)
-        if pred is not CRASH and pred == int(label):
-            correct += 1
-    return correct / evalset.size
+    if cache is None:
+        cache = ActivationCache(net, evalset)
+    return float(bit_accuracies(net, evalset, fault, profile, cache, [fault.site.bit_pos])[0])

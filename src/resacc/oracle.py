@@ -20,6 +20,7 @@ from .microdnn import (
     FaultSemantics,
     MicroNetwork,
     accuracy,
+    bit_accuracies,
     make_fault,
 )
 from .probtransfer import RAResult, SiteProbabilityTable, build_table, ra_expected
@@ -49,12 +50,6 @@ class SiteArchive:
     def evaluator(self, site: SoftwareFaultSite) -> float:
         arr = self.entries[(site.layer_id, site.var_type)]
         return float(arr[site.var_index, site.bit_pos])
-
-    def is_crash_site(self, site: SoftwareFaultSite) -> bool:
-        return (
-            self.semantics is FaultSemantics.TRUE
-            and site.var_type is FFType.CONTROL_GLOBAL
-        )
 
     def class_mean(self, layer_id: int, var_type: FFType, bit_pos: int) -> float:
         return float(self.entries[(layer_id, var_type)][:, bit_pos].mean())
@@ -94,6 +89,8 @@ def exhaustive_ra(
 ) -> tuple[RAResult, SiteArchive]:
     """Evaluate A(j) for every fault site and return the exact RA.
 
+    Each variable is evaluated over all its bits in one batch; `progress`,
+    when given, is called as progress(sites_done, sites_total) after each.
     Crash classes cost no inference (their accuracy is 0 by definition).
     Raises ScaleGuardExceeded when sites x evalset would exceed
     `max_inferences`.
@@ -114,6 +111,7 @@ def exhaustive_ra(
     sa = accuracy(net, evalset)
     cache = ActivationCache(net, evalset)
     entries: dict[tuple[int, FFType], np.ndarray] = {}
+    bits = range(table.bit_width)
     done = 0
     for c in table.classes:
         arr = np.zeros((c.var_count, table.bit_width), dtype=np.float64)
@@ -121,10 +119,9 @@ def exhaustive_ra(
             entries[(c.layer_id, c.var_type)] = arr
             continue
         for v in range(c.var_count):
-            for b in range(table.bit_width):
-                site = SoftwareFaultSite(c.layer_id, c.var_type, v, b)
-                fault = make_fault(site, config, semantics)
-                arr[v, b] = accuracy(net, evalset, fault, profile, cache)
+            site = SoftwareFaultSite(c.layer_id, c.var_type, v, 0)
+            fault = make_fault(site, config, semantics)
+            arr[v] = bit_accuracies(net, evalset, fault, profile, cache, bits)
             done += table.bit_width
             if progress is not None:
                 progress(done, n_eval_sites)

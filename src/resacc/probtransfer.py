@@ -14,7 +14,7 @@ lazily; control variables live in a pseudo-layer spanning the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 from .profile import (
     CONTROL_LAYER,
@@ -167,12 +167,6 @@ class SiteProbabilityTable:
 
     def prob(self, site: SoftwareFaultSite) -> float:
         return self.class_for(site.layer_id, site.var_type).per_var_per_bit_prob
-
-    def iter_sites(self) -> Iterator[SoftwareFaultSite]:
-        for c in self.classes:
-            for v in range(c.var_count):
-                for b in range(self.bit_width):
-                    yield SoftwareFaultSite(c.layer_id, c.var_type, v, b)
 
 
 def build_table(

@@ -70,31 +70,6 @@ class AcceleratorConfig:
         if self.bit_width == 0:
             self.bit_width = self.numeric_format.width
 
-    @classmethod
-    def from_control_total(
-        cls,
-        ff_count: dict[FFType, int],
-        control_total: int,
-        raw_fit: dict[FFType, float],
-        numeric_format: NumericFormat,
-        reuse: dict[FFType, int],
-        control_global_fraction: float = 2.0 / 3.0,
-    ) -> "AcceleratorConfig":
-        """Build a config from a combined control-FF count plus the measured
-        global/local split fraction."""
-        n_global = round(control_total * control_global_fraction)
-        counts = dict(ff_count)
-        counts[FFType.CONTROL_GLOBAL] = n_global
-        counts[FFType.CONTROL_LOCAL] = control_total - n_global
-        fits = dict(raw_fit)
-        return cls(
-            ff_count=counts,
-            raw_fit=fits,
-            numeric_format=numeric_format,
-            reuse=dict(reuse),
-            control_global_fraction=control_global_fraction,
-        )
-
     def with_raw_fit(self, updates: dict[FFType, float]) -> "AcceleratorConfig":
         fits = dict(self.raw_fit)
         fits.update(updates)

@@ -7,7 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from resacc.cli import EXIT_OK, EXIT_SCALE, EXIT_USAGE, EXIT_VALIDATION, ValidationError, main, read_csv
+from resacc.cli import (
+    EXIT_OK,
+    EXIT_SCALE,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    OracleProgress,
+    ValidationError,
+    main,
+    read_csv,
+)
 from resacc.container import save_evalset, save_network
 from resacc.profile import config_to_text
 from resacc.toynets import make_config, make_dense_toy, make_evalset
@@ -157,6 +166,50 @@ def test_oracle_outputs(cli_inputs, tmp_path):
     rows = read_csv(tmp_path / "oracle.csv", "layer_id,var_type,bit_pos,accuracy")
     assert (tmp_path / "archive.npz").exists()
     assert all(0.0 <= float(r[3]) <= 1.0 for r in rows)
+
+
+def test_oracle_progress_on_stderr_leaves_outputs_identical(cli_inputs, tmp_path, capsys):
+    runs = []
+    for d in (tmp_path / "a", tmp_path / "b"):
+        assert main(["oracle"] + _with_eval(cli_inputs, d)) == EXIT_OK
+        runs.append((capsys.readouterr(), _tree_bytes(d)))
+    (first, files_a), (second, files_b) = runs
+    assert first.out == second.out
+    assert first.out.startswith("exhaustive ra=") and "sites" not in first.out
+    assert files_a == files_b
+    last = first.err.strip().splitlines()[-1]
+    done, total = last.split()[1].split("/")
+    assert done == total and int(total) > 0 and "(100%), eta 0 s" in last
+
+
+def test_oracle_progress_is_throttled(capsys):
+    t = iter([0.0, 0.5, 1.9, 2.5, 3.0, 3.1])
+    progress = OracleProgress(interval=2.0, clock=lambda: next(t))
+    for done in (10, 20, 30, 40, 50):
+        progress(done, 50)
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["oracle: 30/50 sites (60%), eta 2 s",
+                     "oracle: 50/50 sites (100%), eta 0 s"]
+
+
+@pytest.mark.parametrize("which", ["network", "evalset"])
+def test_truncated_container_header_is_validation_error(cli_inputs, tmp_path, capsys, which):
+    bad = tmp_path / "truncated"
+    bad.write_bytes(Path(cli_inputs[which]).read_bytes()[:9])
+    inp = dict(cli_inputs, **{which: str(bad)})
+    assert main(["oracle"] + _with_eval(inp, tmp_path / "out")) == EXIT_VALIDATION
+    assert "truncated container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["network", "evalset"])
+def test_unknown_format_tag_is_validation_error(cli_inputs, tmp_path, capsys, which):
+    data = bytearray(Path(cli_inputs[which]).read_bytes())
+    data[7] = 9  # the numeric format tag follows the 6-byte magic and the version
+    bad = tmp_path / "badtag"
+    bad.write_bytes(bytes(data))
+    inp = dict(cli_inputs, **{which: str(bad)})
+    assert main(["oracle"] + _with_eval(inp, tmp_path / "out")) == EXIT_VALIDATION
+    assert "unknown numeric format tag 9" in capsys.readouterr().err
 
 
 def test_gridsim_outputs(cli_inputs, tmp_path):

@@ -16,9 +16,10 @@ from resacc.container import (
 )
 from resacc.formats import NumericFormat
 from resacc.microdnn import (
-    CRASH,
+    CRASHED,
     FC,
     ActivationCache,
+    EvalSet,
     FaultMode,
     FaultSemantics,
     FaultSpec,
@@ -26,8 +27,8 @@ from resacc.microdnn import (
     Softmax,
     accuracy,
     clean_activations,
+    faulty_predictions,
     infer,
-    infer_faulty,
     make_fault,
 )
 from resacc.profile import FFType, SoftwareFaultSite, CONTROL_LAYER, derive_profile
@@ -38,6 +39,14 @@ from resacc.toynets import (
     make_evalset,
     make_pool_toy,
 )
+
+
+def predict(net, x, fault, prof, bits=None):
+    """Predicted class of one input under the fault, for each of ``bits``
+    (default: the fault's own bit)."""
+    cache = ActivationCache(net, EvalSet(np.asarray(x)[None], np.zeros(1, dtype=np.int64)))
+    bits = [fault.site.bit_pos] if bits is None else bits
+    return faulty_predictions(net, fault, prof, cache, bits)[:, 0]
 
 
 @pytest.fixture(scope="module")
@@ -108,13 +117,12 @@ class TestFaultSemantics:
         x = np.linspace(-1, 1, 12).astype(np.float32)
         uses = prof.layer(0).mac_count // prof.var_count(0, FFType.WEIGHT)
         for var in (0, 17, 95):
-            for bit in (30, 12, 0):
-                site = SoftwareFaultSite(0, FFType.WEIGHT, var, bit)
-                full = FaultSpec(site, FaultMode.FULL_CORRUPTION, 0)
-                bounded = FaultSpec(site, FaultMode.REUSE_BOUNDED, uses)
-                assert infer_faulty(net, x, full, prof) == infer_faulty(
-                    net, x, bounded, prof
-                )
+            site = SoftwareFaultSite(0, FFType.WEIGHT, var, 0)
+            full = FaultSpec(site, FaultMode.FULL_CORRUPTION, 0)
+            bounded = FaultSpec(site, FaultMode.REUSE_BOUNDED, uses)
+            bits = [30, 12, 0]
+            assert np.array_equal(predict(net, x, full, prof, bits),
+                                  predict(net, x, bounded, prof, bits))
 
     def test_crash_regardless_of_input(self, dense):
         net, config, prof = dense
@@ -123,17 +131,21 @@ class TestFaultSemantics:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.uniform(-1, 1, 12).astype(np.float32)
-            assert infer_faulty(net, x, fault, prof) is CRASH
+            assert predict(net, x, fault, prof).tolist() == [CRASHED]
 
     def test_no_state_leak(self, dense):
         net, config, prof = dense
         before = [l.weight.copy() for l in net.layers if hasattr(l, "weight")]
         x = np.linspace(-1, 1, 12).astype(np.float32)
+        cache = ActivationCache(net, EvalSet(x[None], np.zeros(1, dtype=np.int64)))
+        cached = [a.copy() for a in cache.acts]
         for t in (FFType.WEIGHT, FFType.INPUT_ACTIVATION, FFType.OUTPUT_ACTIVATION):
             site = SoftwareFaultSite(0, t, 0, 28)
-            infer_faulty(net, x, make_fault(site, config), prof)
+            faulty_predictions(net, make_fault(site, config), prof, cache, [28, 30])
         after = [l.weight for l in net.layers if hasattr(l, "weight")]
         for b, a in zip(before, after):
+            assert np.array_equal(b, a)
+        for b, a in zip(cached, cache.acts):
             assert np.array_equal(b, a)
 
     def test_faulty_inference_deterministic(self, dense):
@@ -141,7 +153,7 @@ class TestFaultSemantics:
         x = np.linspace(-1, 1, 12).astype(np.float32)
         site = SoftwareFaultSite(0, FFType.INPUT_ACTIVATION, 3, 29)
         fault = make_fault(site, config)
-        preds = {infer_faulty(net, x, fault, prof) for _ in range(5)}
+        preds = {tuple(predict(net, x, fault, prof)) for _ in range(5)}
         assert len(preds) == 1
 
     def test_benign_site_exists(self, dense):
@@ -152,7 +164,7 @@ class TestFaultSemantics:
         found = False
         for var in range(prof.var_count(0, FFType.WEIGHT)):
             site = SoftwareFaultSite(0, FFType.WEIGHT, var, 0)
-            if infer_faulty(net, x, make_fault(site, config), prof) == clean:
+            if predict(net, x, make_fault(site, config), prof)[0] == clean:
                 found = True
                 break
         assert found
@@ -161,8 +173,8 @@ class TestFaultSemantics:
         net, config, prof = dense
         x = np.linspace(-1, 1, 12).astype(np.float32)
         site = SoftwareFaultSite(CONTROL_LAYER, FFType.CONTROL_LOCAL, 5, 30)
-        out = infer_faulty(net, x, make_fault(site, config), prof)
-        assert out is not CRASH and isinstance(out, int)
+        (out,) = predict(net, x, make_fault(site, config), prof)
+        assert out != CRASHED and 0 <= out < net.output_shape_of(len(net.layers) - 1)[0]
 
     def test_conv_and_pool_fault_paths(self):
         net = make_pool_toy()
@@ -172,8 +184,8 @@ class TestFaultSemantics:
         for lid in (l.layer_id for l in prof.layers):
             for t in (FFType.INPUT_ACTIVATION, FFType.OUTPUT_ACTIVATION):
                 site = SoftwareFaultSite(lid, t, 0, 31)
-                out = infer_faulty(net, x, make_fault(site, config), prof)
-                assert isinstance(out, int)
+                (out,) = predict(net, x, make_fault(site, config), prof)
+                assert 0 <= out < net.output_shape_of(len(net.layers) - 1)[0]
 
 
 class TestAccuracy:
