@@ -105,19 +105,21 @@ class RunOutputs:
                 pass
 
 
+PROGRESS_INTERVAL_S = 2.0  # least time between two oracle progress lines
+
+
 class OracleProgress:
     """``exhaustive_ra`` progress hook: a ``sites done / total`` line with an
-    ETA on stderr, at most one every ``interval`` seconds, and always the last.
-    Nothing of it reaches stdout or the output directory."""
+    ETA on stderr, at most one every PROGRESS_INTERVAL_S, and always the
+    last. Nothing of it reaches stdout or the output directory."""
 
-    def __init__(self, interval: float = 2.0, clock=time.monotonic):
-        self.interval = interval
+    def __init__(self, clock=time.monotonic):
         self.clock = clock
         self.start = self.shown = clock()
 
     def __call__(self, done: int, total: int) -> None:
         now = self.clock()
-        if done < total and now - self.shown < self.interval:
+        if done < total and now - self.shown < PROGRESS_INTERVAL_S:
             return
         self.shown = now
         eta = (now - self.start) * (total - done) / done

@@ -18,7 +18,9 @@ The clean activations of the whole evalset are computed once
 (:class:`ActivationCache`). The faulted layer's output starts as a copy of
 its cached clean output; only the elements that read the flipped value
 inside its reuse window are recomputed, and the bits x inputs batch then
-runs through the downstream layers as one forward.
+runs through the downstream layers as one forward. A batch too large for
+BATCH_BYTES goes in chunks of inputs, and a recompute in chunks of output
+elements, neither of which changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
@@ -278,7 +280,9 @@ def clean_activations(net: MicroNetwork, x: np.ndarray) -> list[np.ndarray]:
 # --- faulty forward --------------------------------------------------------
 
 CRASHED = -1  # the prediction recorded for an inference the fault crashed
-BATCH_BYTES = 1 << 25  # float64 bytes of the widest activation of one faulty batch
+# Bound, in bytes, on each float64 array of a faulty batch: the widest
+# activation over the batch's inputs, and the recompute's products and sums.
+BATCH_BYTES = 1 << 25
 
 
 def total_weight_count(net: MicroNetwork) -> int:
@@ -355,6 +359,10 @@ def _faulty_outputs(
         return out
 
     x64 = x.astype(np.float64)
+    # Each summing branch names the output elements to recompute (elems), the
+    # fan-in position at which each reads the flipped value (hit_k), and
+    # part(sel) -> (terms, faulty) for the elements elems[sel], as
+    # kernels.dot_sequential takes them.
     if var_type is FFType.WEIGHT:
         w = getattr(layer, "weight", None)
         if w is None:
@@ -364,9 +372,11 @@ def _faulty_outputs(
             # Each FC weight is read once per inference.
             r, c = divmod(var_index, w.shape[1])
             elems = np.array([r])
-            terms = (x64 * w[r].astype(np.float64))[:, None, :]
             hit_k = np.array([c])
-            faulty = wf[:, :, None] * x64[:, c][None, :, None]
+
+            def part(sel):
+                terms = (x64 * w[r].astype(np.float64))[:, None, :]
+                return terms, wf[:, :, None] * x64[:, c][None, :, None]
         else:
             assert isinstance(layer, Conv2D)
             o, c, ky, kz = np.unravel_index(var_index, w.shape)
@@ -374,10 +384,13 @@ def _faulty_outputs(
             start, count = _window(var_index, oh * ow, fault)
             u = np.arange(start, start + count)
             elems = o * oh * ow + u
-            terms, xs, inside = _conv_terms(layer, x64, np.full(count, o), u // ow, u % ow)
             k = np.ravel_multi_index((c, ky, kz), w.shape[1:])
             hit_k = np.full(count, k)
-            faulty = np.where(inside[:, k], wf[:, :, None] * xs[None, :, :, k], 0.0)
+
+            def part(sel):
+                terms, xs, inside = _conv_terms(layer, x64, np.full(len(u[sel]), o),
+                                                u[sel] // ow, u[sel] % ow)
+                return terms, np.where(inside[:, k], wf[:, :, None] * xs[None, :, :, k], 0.0)
     else:
         assert var_type is FFType.INPUT_ACTIVATION
         xf = _flipped(x.reshape(n, -1)[:, var_index], bits, fmt)  # (F, n)
@@ -388,10 +401,11 @@ def _faulty_outputs(
         if isinstance(layer, FC):
             start, count = _window(var_index, layer.weight.shape[0], fault)
             elems = np.arange(start, start + count)
-            w64 = layer.weight[elems].astype(np.float64)
-            terms = x64[:, None, :] * w64[None]
             hit_k = np.full(count, var_index)
-            faulty = xf64[:, :, None] * w64[:, var_index]
+
+            def part(sel):
+                w64 = layer.weight[elems[sel]].astype(np.float64)
+                return x64[:, None, :] * w64[None], xf64[:, :, None] * w64[:, var_index]
         elif isinstance(layer, Conv2D):
             c, iy, iz = np.unravel_index(var_index, x.shape[1:])
             n_oc, _, kh, kw = layer.weight.shape
@@ -407,11 +421,13 @@ def _faulty_outputs(
             p, o = np.divmod(np.arange(start, start + count), n_oc)
             y, z = py[p], pz[p]
             elems = (o * oh + y) * ow + z
-            terms, _, _ = _conv_terms(layer, x64, o, y, z)
             ky, kz = dy[y], dz[z]
             hit_k = (c * kh + ky) * kw + kz
             w_hit = layer.weight[o, c, ky, kz].astype(np.float64)
-            faulty = xf64[:, :, None] * w_hit
+
+            def part(sel):
+                terms, _, _ = _conv_terms(layer, x64, o[sel], y[sel], z[sel])
+                return terms, xf64[:, :, None] * w_hit[sel]
         elif isinstance(layer, MaxPool2D):
             c, iy, iz = np.unravel_index(var_index, x.shape[1:])
             k, s = layer.kernel, layer.stride
@@ -431,8 +447,15 @@ def _faulty_outputs(
             return out
         else:
             raise ValueError(f"input-activation fault unsupported on {type(layer).__name__}")
-    if len(elems):
-        flat[:, :, elems] = _cast(kernels.dot_sequential(terms, hit_k, faulty), fmt)
+    # Elements go in chunks whose (n, E, fan-in) products and (F, n, E) sums
+    # stay within BATCH_BYTES; each element is summed alone, so chunking
+    # changes no result.
+    fan_in = layer.weight[0].size
+    step = max(1, BATCH_BYTES // (8 * n * (fan_in + len(bits))))
+    for i in range(0, len(elems), step):
+        sel = slice(i, i + step)
+        terms, faulty = part(sel)
+        flat[:, :, elems[sel]] = _cast(kernels.dot_sequential(terms, hit_k[sel], faulty), fmt)
     return out
 
 

@@ -184,7 +184,7 @@ def test_oracle_progress_on_stderr_leaves_outputs_identical(cli_inputs, tmp_path
 
 def test_oracle_progress_is_throttled(capsys):
     t = iter([0.0, 0.5, 1.9, 2.5, 3.0, 3.1])
-    progress = OracleProgress(interval=2.0, clock=lambda: next(t))
+    progress = OracleProgress(clock=lambda: next(t))
     for done in (10, 20, 30, 40, 50):
         progress(done, 50)
     lines = capsys.readouterr().err.splitlines()

@@ -7,6 +7,8 @@ time.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -54,21 +56,40 @@ TOYS = {
 N_INPUTS = 3
 
 
-def _archives(net, evalset, profile, config, semantics):
-    """(batched, reference) A(j) arrays per (layer, type) class."""
+def _classes(profile, config, semantics):
+    """The fault classes a semantics models, and the table's bit width."""
     table = build_table(profile, config)
+    return [
+        c for c in table.classes
+        # the software baseline does not model control sites
+        if not (semantics is FaultSemantics.SW and c.layer_id == CONTROL_LAYER)
+    ], table.bit_width
+
+
+def _batched_archive(net, evalset, profile, config, semantics):
+    """Batched A(j) arrays per (layer, type) class."""
+    classes, bit_width = _classes(profile, config, semantics)
     cache = ActivationCache(net, evalset)
-    bits = range(table.bit_width)
-    batched, reference = {}, {}
-    for c in table.classes:
-        if semantics is FaultSemantics.SW and c.layer_id == CONTROL_LAYER:
-            continue  # the software baseline does not model control sites
-        key = (c.layer_id, c.var_type)
-        batched[key] = np.array([
-            bit_accuracies(net, evalset, make_fault(SoftwareFaultSite(*key, v, 0), config,
-                                                    semantics), profile, cache, bits)
+    return {
+        (c.layer_id, c.var_type): np.array([
+            bit_accuracies(net, evalset,
+                           make_fault(SoftwareFaultSite(c.layer_id, c.var_type, v, 0), config,
+                                      semantics),
+                           profile, cache, range(bit_width))
             for v in range(c.var_count)
         ])
+        for c in classes
+    }
+
+
+def _archives(net, evalset, profile, config, semantics):
+    """(batched, reference) A(j) arrays per (layer, type) class."""
+    classes, bit_width = _classes(profile, config, semantics)
+    bits = range(bit_width)
+    batched = _batched_archive(net, evalset, profile, config, semantics)
+    reference = {}
+    for c in classes:
+        key = (c.layer_id, c.var_type)
         reference[key] = np.array([
             [reference_accuracy(net, evalset, make_fault(SoftwareFaultSite(*key, v, b), config,
                                                          semantics), profile)
@@ -236,13 +257,43 @@ def test_numpy_conv2d_is_one_blas_product_per_item(seed, stride, pad, chunk_byte
         assert np.array_equal(got[i], (w.reshape(oc, -1) @ cols).reshape(oc, oh, ow))
 
 
-def test_chunked_batches_give_the_same_archive(monkeypatch):
+@pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
+def test_chunked_batches_give_the_same_archive(monkeypatch, semantics):
     net = make_pool_toy(NumericFormat.FP16)
     config = make_config(NumericFormat.FP16)
     profile = derive_profile(net, config)
     evalset = make_evalset(net, 10, seed=4, label_noise=0.3)
-    _, whole = exhaustive_ra(profile, config, net, evalset)
-    monkeypatch.setattr(microdnn, "BATCH_BYTES", 1)  # one input per batch
-    _, chunked = exhaustive_ra(profile, config, net, evalset)
-    for key, arr in whole.entries.items():
-        assert np.array_equal(chunked.entries[key], arr), key
+    whole = _batched_archive(net, evalset, profile, config, semantics)
+    monkeypatch.setattr(microdnn, "BATCH_BYTES", 1)  # one input and one element per batch
+    chunked = _batched_archive(net, evalset, profile, config, semantics)
+    for key, arr in whole.items():
+        assert np.array_equal(chunked[key], arr), key
+
+
+@pytest.mark.parametrize("n_bits", [1, 32])
+def test_fully_corrupted_fc_input_stays_within_batch_bytes(monkeypatch, n_bits):
+    """Under SW semantics an FC input fault recomputes every output element:
+    its (inputs, outputs, fan-in) products must go in chunks too, for one bit
+    (a live evaluation) as for all bits (the oracle)."""
+    fmt = NumericFormat.FP32
+    rng = np.random.default_rng(8)
+    net = MicroNetwork([FC(_weights(rng, (128, 256), fmt)), Softmax()], (256,), fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 16, seed=2)
+    cache = ActivationCache(net, evalset)
+    fault = make_fault(SoftwareFaultSite(profile.layers[0].layer_id, FFType.INPUT_ACTIVATION,
+                                         77, 0), config, FaultSemantics.SW)
+    bits = range(fmt.width - n_bits, fmt.width)
+    whole = faulty_predictions(net, fault, profile, cache, bits)
+    monkeypatch.setattr(microdnn, "BATCH_BYTES", 1 << 18)
+    tracemalloc.start()
+    try:
+        chunked = faulty_predictions(net, fault, profile, cache, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, whole)
+    # Unchunked over elements, the products of one input chunk take up to
+    # 16 x 128 x 256 x 8 B = 4 MiB.
+    assert peak < 4 * microdnn.BATCH_BYTES, peak
