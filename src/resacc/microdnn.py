@@ -384,12 +384,12 @@ def _faulty_outputs(
             start, count = _window(var_index, oh * ow, fault)
             u = np.arange(start, start + count)
             elems = o * oh * ow + u
+            oc, (y, z) = np.full(count, o), np.divmod(u, ow)
             k = np.ravel_multi_index((c, ky, kz), w.shape[1:])
             hit_k = np.full(count, k)
 
             def part(sel):
-                terms, xs, inside = _conv_terms(layer, x64, np.full(len(u[sel]), o),
-                                                u[sel] // ow, u[sel] % ow)
+                terms, xs, inside = _conv_terms(layer, x64, oc[sel], y[sel], z[sel])
                 return terms, np.where(inside[:, k], wf[:, :, None] * xs[None, :, :, k], 0.0)
     else:
         assert var_type is FFType.INPUT_ACTIVATION
