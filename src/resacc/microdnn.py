@@ -314,18 +314,18 @@ def _flipped(values: np.ndarray, bits: list[int], fmt: NumericFormat) -> np.ndar
     return np.stack([flip_bit_array(values, b, fmt) for b in bits])
 
 
-def _conv_terms(layer: Conv2D, x64: np.ndarray, o, y, z):
+def _conv_terms(layer: Conv2D, x: np.ndarray, o, y, z):
     """Clean products x * w of conv output elements (o[e], y[e], z[e]) over n
     inputs, in fan-in order: (n, E, K), 0.0 where the element kernel skips a
-    padded position; with the fan-in positions' input values (n, E, K) and
-    whether they lie inside the input (E, K)."""
-    _, ih, iw = x64.shape[1:]
+    padded position; with the fan-in positions' input values in float64
+    (n, E, K) and whether they lie inside the input (E, K)."""
+    _, ih, iw = x.shape[1:]
     _, ic, kh, kw = layer.weight.shape
     c, ky, kz = (g.reshape(-1) for g in np.indices((ic, kh, kw)))
     sy = (y * layer.stride - layer.pad)[:, None] + ky
     sz = (z * layer.stride - layer.pad)[:, None] + kz
     inside = (sy >= 0) & (sy < ih) & (sz >= 0) & (sz < iw)
-    xs = x64[:, c, np.clip(sy, 0, ih - 1), np.clip(sz, 0, iw - 1)]
+    xs = x[:, c, np.clip(sy, 0, ih - 1), np.clip(sz, 0, iw - 1)].astype(np.float64)
     w64 = layer.weight.astype(np.float64).reshape(len(layer.weight), -1)
     return np.where(inside, xs * w64[o], 0.0), xs, inside
 
@@ -357,8 +357,13 @@ def _faulty_outputs(
             raise ValueError("var_index out of range for output activation")
         flat[:, :, var_index] = _flipped(values[:, var_index], bits, fmt)
         return out
+    if var_type is FFType.INPUT_ACTIVATION:
+        xf = _flipped(x.reshape(n, -1)[:, var_index], bits, fmt)  # (F, n)
+        if isinstance(layer, ReLU):
+            flat[:, :, var_index] = np.where(xf < 0, xf.dtype.type(0), xf)
+            return out
+        xf64 = xf.astype(np.float64)
 
-    x64 = x.astype(np.float64)
     # Each summing branch names the output elements to recompute (elems), the
     # fan-in position at which each reads the flipped value (hit_k), and
     # part(sel) -> (terms, faulty) for the elements elems[sel], as
@@ -373,6 +378,7 @@ def _faulty_outputs(
             r, c = divmod(var_index, w.shape[1])
             elems = np.array([r])
             hit_k = np.array([c])
+            x64 = x.astype(np.float64)
 
             def part(sel):
                 terms = (x64 * w[r].astype(np.float64))[:, None, :]
@@ -389,19 +395,15 @@ def _faulty_outputs(
             hit_k = np.full(count, k)
 
             def part(sel):
-                terms, xs, inside = _conv_terms(layer, x64, oc[sel], y[sel], z[sel])
+                terms, xs, inside = _conv_terms(layer, x, oc[sel], y[sel], z[sel])
                 return terms, np.where(inside[:, k], wf[:, :, None] * xs[None, :, :, k], 0.0)
     else:
         assert var_type is FFType.INPUT_ACTIVATION
-        xf = _flipped(x.reshape(n, -1)[:, var_index], bits, fmt)  # (F, n)
-        if isinstance(layer, ReLU):
-            flat[:, :, var_index] = np.where(xf < 0, xf.dtype.type(0), xf)
-            return out
-        xf64 = xf.astype(np.float64)
         if isinstance(layer, FC):
             start, count = _window(var_index, layer.weight.shape[0], fault)
             elems = np.arange(start, start + count)
             hit_k = np.full(count, var_index)
+            x64 = x.astype(np.float64)
 
             def part(sel):
                 w64 = layer.weight[elems[sel]].astype(np.float64)
@@ -426,7 +428,7 @@ def _faulty_outputs(
             w_hit = layer.weight[o, c, ky, kz].astype(np.float64)
 
             def part(sel):
-                terms, _, _ = _conv_terms(layer, x64, o[sel], y[sel], z[sel])
+                terms, _, _ = _conv_terms(layer, x, o[sel], y[sel], z[sel])
                 return terms, xf64[:, :, None] * w_hit[sel]
         elif isinstance(layer, MaxPool2D):
             c, iy, iz = np.unravel_index(var_index, x.shape[1:])
@@ -440,8 +442,8 @@ def _faulty_outputs(
             start, count = _window(var_index, len(wy), fault)
             y, z = wy[start : start + count], wz[start : start + count]
             ky, kz = (g.reshape(-1) for g in np.indices((k, k)))
-            patches = x64[:, c, (y * s)[:, None] + ky, (z * s)[:, None] + kz]  # (n, E, k*k)
-            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).copy()
+            patches = x[:, c, (y * s)[:, None] + ky, (z * s)[:, None] + kz]  # (n, E, k*k)
+            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).astype(np.float64)
             patches[:, :, np.arange(count), dy[y] * k + dz[z]] = xf64[:, :, None]
             flat[:, :, (c * oh + y) * ow + z] = _cast(np.fmax.reduce(patches, axis=3), fmt)
             return out
