@@ -442,8 +442,11 @@ def _faulty_outputs(
             start, count = _window(var_index, len(wy), fault)
             y, z = wy[start : start + count], wz[start : start + count]
             ky, kz = (g.reshape(-1) for g in np.indices((k, k)))
-            patches = x[:, c, (y * s)[:, None] + ky, (z * s)[:, None] + kz]  # (n, E, k*k)
-            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).astype(np.float64)
+            patches = x[:, c, (y * s)[:, None] + ky, (z * s)[:, None] + kz].astype(np.float64)
+            # C order: numpy's fmax.reduce gives NaN for a signalling NaN (a
+            # flipped exponent can make one) on a contiguous axis, but the
+            # other operand on a strided one; the reference takes the former.
+            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).copy()  # (F, n, E, k*k)
             patches[:, :, np.arange(count), dy[y] * k + dz[z]] = xf64[:, :, None]
             flat[:, :, (c * oh + y) * ow + z] = _cast(np.fmax.reduce(patches, axis=3), fmt)
             return out

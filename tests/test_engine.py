@@ -177,6 +177,30 @@ def test_predictions_equal_reference_on_random_sites(case):
             assert got[i, j] == (CRASHED if ref is CRASH else ref), (b, j)
 
 
+
+def test_pool_input_flips_match_reference_on_a_full_evalset():
+    """A flipped FP16 exponent can make a signalling NaN, on which numpy's
+    fmax answers by memory layout; every bit of every pool input must still
+    give the reference's prediction on all 40 inputs of a benchmark-sized
+    evalset."""
+    fmt = NumericFormat.FP16
+    net = make_pool_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 40, seed=0)
+    cache = ActivationCache(net, evalset)
+    pool = next(l for l in profile.layers if isinstance(net.layers[l.net_index], MaxPool2D))
+    for v in range(profile.var_count(pool.layer_id, FFType.INPUT_ACTIVATION)):
+        def fault(b):
+            return make_fault(SoftwareFaultSite(pool.layer_id, FFType.INPUT_ACTIVATION, v, b),
+                              config)
+
+        got = faulty_predictions(net, fault(0), profile, cache, range(fmt.width))
+        want = [[reference_infer(net, x, fault(b), profile) for x in evalset.inputs]
+                for b in range(fmt.width)]
+        assert np.array_equal(got, want), v
+
+
 # --- kernels -------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
