@@ -446,7 +446,8 @@ def _faulty_outputs(
             # C order: numpy's fmax.reduce gives NaN for a signalling NaN (a
             # flipped exponent can make one) on a contiguous axis, but the
             # other operand on a strided one; the reference takes the former.
-            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).copy()  # (F, n, E, k*k)
+            # (F, n, E, k*k)
+            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).copy()
             patches[:, :, np.arange(count), dy[y] * k + dz[z]] = xf64[:, :, None]
             flat[:, :, (c * oh + y) * ow + z] = _cast(np.fmax.reduce(patches, axis=3), fmt)
             return out
