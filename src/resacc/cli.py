@@ -193,6 +193,12 @@ def _parse_utilization(text: str | None) -> dict[int, float] | None:
 def _build_context(args, need_evalset: bool):
     config = _load_config(args.config)
     net = _load_net(args.network)
+    if config.numeric_format is not net.numeric_format:
+        # the sites would span the config's bit width, not the network's
+        raise ValidationError(
+            f"config format {config.numeric_format.name} != "
+            f"network format {net.numeric_format.name}"
+        )
     util = _parse_utilization(getattr(args, "utilization", None))
     profile = derive_profile(net, config, utilization=util)
     problems = validate_profile(profile, config)
@@ -550,10 +556,6 @@ def main(argv=None) -> int:
         out.discard_all()
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def entry():  # console_scripts hook
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

@@ -75,6 +75,20 @@ def save_network(net: MicroNetwork, path: str | Path) -> None:
     Path(path).write_bytes(b"".join(parts))
 
 
+def _read_array(buf: memoryview, off: int, shape, dtype, path):
+    n = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if off + n > len(buf):
+        raise ContainerError(
+            f"{path}: truncated container: data ends at byte {len(buf)}, needs {off + n}"
+        )
+    return np.frombuffer(buf[off : off + n], dtype=dtype).reshape(shape).copy(), off + n
+
+
+def _check_end(buf: memoryview, off: int, path) -> None:
+    if off != len(buf):
+        raise ContainerError(f"{path}: {len(buf) - off} trailing bytes after the container")
+
+
 def _format(tag: int, path) -> NumericFormat:
     if tag not in _TAG_FMT:
         raise ContainerError(f"{path}: unknown numeric format tag {tag}")
@@ -106,18 +120,12 @@ def _parse_network(buf: memoryview, path) -> MicroNetwork:
         off += 1
         if kind == 1:
             oc, ic, kh, kw, stride, pad = struct.unpack_from("<4H2B", buf, off)
-            off += 10
-            n = oc * ic * kh * kw * fmt.dtype.itemsize
-            w = np.frombuffer(buf[off : off + n], dtype=fmt.dtype).reshape(oc, ic, kh, kw)
-            off += n
-            layers.append(Conv2D(weight=w.copy(), stride=stride, pad=pad))
+            w, off = _read_array(buf, off + 10, (oc, ic, kh, kw), fmt.dtype, path)
+            layers.append(Conv2D(weight=w, stride=stride, pad=pad))
         elif kind == 2:
             out, fan_in = struct.unpack_from("<2H", buf, off)
-            off += 4
-            n = out * fan_in * fmt.dtype.itemsize
-            w = np.frombuffer(buf[off : off + n], dtype=fmt.dtype).reshape(out, fan_in)
-            off += n
-            layers.append(FC(weight=w.copy()))
+            w, off = _read_array(buf, off + 4, (out, fan_in), fmt.dtype, path)
+            layers.append(FC(weight=w))
         elif kind == 3:
             layers.append(ReLU())
         elif kind == 4:
@@ -130,7 +138,11 @@ def _parse_network(buf: memoryview, path) -> MicroNetwork:
             layers.append(Softmax())
         else:
             raise ContainerError(f"{path}: unknown layer kind tag {kind}")
-    return MicroNetwork(layers=layers, input_shape=input_shape, numeric_format=fmt)
+    _check_end(buf, off, path)
+    try:
+        return MicroNetwork(layers=layers, input_shape=input_shape, numeric_format=fmt)
+    except ValueError as e:  # a layer the header describes cannot run
+        raise ContainerError(f"{path}: {e}") from e
 
 
 def save_evalset(evalset: EvalSet, fmt: NumericFormat, path: str | Path) -> None:
@@ -154,8 +166,7 @@ def load_evalset(path: str | Path) -> tuple[EvalSet, NumericFormat]:
         shape, off = _read_shape(buf, 12)
     except struct.error as e:
         raise ContainerError(f"{path}: truncated container: {e}") from e
-    labels = np.frombuffer(buf[off : off + 2 * count], dtype=np.uint16).astype(np.int64)
-    off += 2 * count
-    n = count * int(np.prod(shape)) * fmt.dtype.itemsize
-    inputs = np.frombuffer(buf[off : off + n], dtype=fmt.dtype).reshape((count,) + shape)
-    return EvalSet(inputs=inputs.copy(), labels=labels), fmt
+    labels, off = _read_array(buf, off, (count,), np.uint16, path)
+    inputs, off = _read_array(buf, off, (count,) + shape, fmt.dtype, path)
+    _check_end(buf, off, path)
+    return EvalSet(inputs=inputs, labels=labels.astype(np.int64)), fmt

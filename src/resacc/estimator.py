@@ -12,7 +12,16 @@ estimator unbiased for any of the supported PDFs:
 * ImportanceBP   — proportional to p(j) * (SA - assumed drop for the bit).
 
 All draws flow from one seeded generator in a defined order, so results are
-reproducible and independent of how A(j) evaluations are parallelized.
+reproducible for a given seed and `batch`; the stream is not independent of
+`batch` (each batch draws its units, then its vars), so another batch size
+draws other sites.
+
+A(j) is read once per distinct site of a run, in first-draw order, and every
+weight and contribution is an array operation over the batch. The exact sums
+and studies gather A(j) into one array per (layer, type) class
+(`probtransfer.class_accuracies`) and reduce over those arrays, summing
+sequentially in site order (`probtransfer.sequential_sum`), so every result
+equals that of a per-site running sum bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +33,16 @@ from typing import Callable
 import numpy as np
 
 from .formats import default_bp_drop
-from .probtransfer import RAResult, SiteProbabilityTable, ra_expected
+from .probtransfer import (
+    RAResult,
+    SiteProbabilityTable,
+    build_table,
+    class_accuracies,
+    ra_from_accuracies,
+    sequential_sum,
+)
 from .profile import (
     CONTROL_LAYER,
-    CONTROL_TYPES,
     DATAPATH_TYPES,
     AcceleratorConfig,
     FFType,
@@ -111,10 +126,6 @@ class DiscretePDF:
             int(var),
             int(self.bit_pos[unit]),
         )
-
-    def draw(self, rng: np.random.Generator) -> SoftwareFaultSite:
-        units, vars_ = self.draw_batch(rng, 1)
-        return self.site_at(int(units[0]), int(vars_[0]))
 
 
 def _units_from_table(table: SiteProbabilityTable, include_types) -> dict[str, list]:
@@ -207,24 +218,23 @@ def build_zero_variance_pdf(
     """PDF exactly proportional to the integrand, from oracle-supplied
     accuracies: one unit per site, weight p(j) * A_uf(j). With this PDF every
     sample contributes the same value (the estimator variance is zero)."""
-    cols = {"layer": [], "type": [], "bit": [], "members": [], "p": [], "var": []}
+    cols: dict[str, list] = {k: [] for k in ("layer", "type", "bit", "members", "p", "var")}
     weights = []
-    for c in table.classes:
+    accs = class_accuracies(table.classes, table.bit_width, evaluator)
+    for c, a in zip(table.classes, accs):
         u = 1.0 if (uf is None or c.layer_id == CONTROL_LAYER) else uf(c.layer_id)
-        for v in range(c.var_count):
-            for b in range(table.bit_width):
-                a = evaluator(SoftwareFaultSite(c.layer_id, c.var_type, v, b))
-                f = c.per_var_per_bit_prob * (u * a + (1.0 - u) * sa)
-                if f <= 0.0:
-                    continue
-                cols["layer"].append(c.layer_id)
-                cols["type"].append(_FFTYPES.index(c.var_type))
-                cols["bit"].append(b)
-                cols["members"].append(1)
-                cols["p"].append(c.per_var_per_bit_prob)
-                cols["var"].append(v)
-                weights.append(f)
-    return _make_pdf(cols, weights, exact=True)
+        f = c.per_var_per_bit_prob * (u * a + (1.0 - u) * sa)
+        vars_, bits = np.nonzero(~(f <= 0.0))  # var-major, as the sites run
+        n = len(vars_)
+        cols["layer"].append(np.full(n, c.layer_id))
+        cols["type"].append(np.full(n, _FFTYPES.index(c.var_type)))
+        cols["bit"].append(bits)
+        cols["members"].append(np.ones(n, dtype=np.int64))
+        cols["p"].append(np.full(n, c.per_var_per_bit_prob))
+        cols["var"].append(vars_)
+        weights.append(f[vars_, bits])
+    cols = {k: np.concatenate(v) for k, v in cols.items()}
+    return _make_pdf(cols, np.concatenate(weights), exact=True)
 
 
 @dataclass
@@ -276,6 +286,53 @@ def _check_coverage(pdf: DiscretePDF, table: SiteProbabilityTable):
             )
 
 
+class _SiteMemo:
+    """A(j) of every site drawn so far in one run. Each draw is keyed by an
+    integer unique to its site: the (layer, type, bit) of its unit times a
+    span above every var index, plus its var. Sites missing from the memo
+    are evaluated in first-draw order, so the evaluator sees the calls a
+    per-sample loop with a site dictionary would make."""
+
+    def __init__(self, pdf: DiscretePDF, evaluator: Evaluator):
+        self.pdf = pdf
+        self.evaluator = evaluator
+        ltb = np.stack([pdf.layer_ids, pdf.type_codes, pdf.bit_pos], axis=1)
+        self.unit_class = np.unique(ltb, axis=0, return_inverse=True)[1].reshape(-1)
+        self.span = max(int(pdf.members.max()), int(pdf.var_index.max()) + 1)
+        self.keys = np.empty(0, dtype=np.int64)  # sorted
+        self.values = np.empty(0)
+
+    def lookup(self, units: np.ndarray, vars_: np.ndarray) -> np.ndarray:
+        """A(j) of each draw (units[i], vars_[i])."""
+        keys = self.unit_class[units] * self.span + vars_
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        pos = np.searchsorted(self.keys, uniq)
+        known = pos < len(self.keys)
+        known[known] = self.keys[pos[known]] == uniq[known]
+        vals = np.empty(len(uniq))
+        vals[known] = self.values[pos[known]]
+        fresh = np.flatnonzero(~known)
+        fresh = fresh[np.argsort(first[fresh])]
+        if len(fresh):
+            pdf, at = self.pdf, first[fresh]
+            u = units[at]
+            got = [
+                self.evaluator(SoftwareFaultSite(lid, _FFTYPES[t], v, b))
+                for lid, t, v, b in zip(
+                    pdf.layer_ids[u].tolist(), pdf.type_codes[u].tolist(),
+                    vars_[at].tolist(), pdf.bit_pos[u].tolist(),
+                )
+            ]
+            if None in got:
+                raise ValueError("evaluator returned no accuracy for a drawn site")
+            vals[fresh] = got
+            keys = np.concatenate([self.keys, uniq[fresh]])
+            order = np.argsort(keys)
+            self.keys = keys[order]
+            self.values = np.concatenate([self.values, vals[fresh]])[order]
+        return vals[inverse]
+
+
 def estimate_ra(
     pdf: DiscretePDF,
     table: SiteProbabilityTable,
@@ -294,8 +351,8 @@ def estimate_ra(
 
     Stops after `samples` draws, or (when `criteria` and `ground_truth` are
     given instead) at the point of convergence, capped at `max_samples`.
-    A(j) evaluations are memoized per site, so repeated draws of one site
-    cost a dictionary hit.
+    The evaluator is called once per distinct site of the run, at the
+    site's first draw; repeated draws reuse that A(j).
     """
     if samples is None and (criteria is None or ground_truth is None):
         raise ValueError("need either a sample count or criteria + ground truth")
@@ -305,28 +362,24 @@ def estimate_ra(
     limit = samples if samples is not None else max_samples
     rng = np.random.default_rng(seed)
     site_pdf = pdf.site_pdf()
-    cache: dict[tuple[int, int, int, int], float] = {}
+    if uf is not None:
+        layers = np.unique(pdf.layer_ids)
+        util = np.array([1.0 if lid == CONTROL_LAYER else uf(int(lid)) for lid in layers])
+        w = util[np.searchsorted(layers, pdf.layer_ids)]
+    memo = _SiteMemo(pdf, evaluator)
     contribs = np.empty(limit, dtype=np.float64)
     drawn = 0
     poc = None
     while drawn < limit:
         n = min(batch, limit - drawn)
         units, vars_ = pdf.draw_batch(rng, n)
-        for i in range(n):
-            u = int(units[i])
-            v = int(vars_[i])
-            key = (int(pdf.layer_ids[u]), int(pdf.type_codes[u]), v, int(pdf.bit_pos[u]))
-            a = cache.get(key)
-            if a is None:
-                a = evaluator(pdf.site_at(u, v))
-                cache[key] = a
-            if uf is not None:
-                lid = key[0]
-                w = 1.0 if lid == CONTROL_LAYER else uf(lid)
-                f = pdf.site_probs[u] * (w * a + (1.0 - w) * sa)
-            else:
-                f = pdf.site_probs[u] * a
-            contribs[drawn + i] = f / site_pdf[u]
+        a = memo.lookup(units, vars_)
+        if uf is not None:
+            wu = w[units]
+            f = pdf.site_probs[units] * (wu * a + (1.0 - wu) * sa)
+        else:
+            f = pdf.site_probs[units] * a
+        contribs[drawn : drawn + n] = f / site_pdf[units]
         drawn += n
         if samples is None:
             trace = np.cumsum(contribs[:drawn]) / np.arange(1, drawn + 1)
@@ -362,16 +415,7 @@ def ra_sw_baseline(
     pdf = _make_pdf(cols, np.asarray(cols["members"], dtype=np.float64), exact=True)
     rng = np.random.default_rng(seed)
     units, vars_ = pdf.draw_batch(rng, samples)
-    vals = np.empty(samples)
-    cache: dict[tuple, float] = {}
-    for i in range(samples):
-        u, v = int(units[i]), int(vars_[i])
-        key = (int(pdf.layer_ids[u]), int(pdf.type_codes[u]), v, int(pdf.bit_pos[u]))
-        a = cache.get(key)
-        if a is None:
-            a = evaluator(pdf.site_at(u, v))
-            cache[key] = a
-        vals[i] = a
+    vals = _SiteMemo(pdf, evaluator).lookup(units, vars_)
     trace = np.cumsum(vals) / np.arange(1, samples + 1)
     return RAEstimate(
         mean=float(trace[-1]),
@@ -387,30 +431,25 @@ def uniform_site_mean(
     evaluator: Evaluator, table: SiteProbabilityTable, include_control: bool
 ) -> float:
     """Exact uniform average of A(j), over datapath sites or over all sites."""
-    total = 0.0
-    count = 0
-    for c in table.classes:
-        if not include_control and c.layer_id == CONTROL_LAYER:
-            continue
-        for v in range(c.var_count):
-            for b in range(table.bit_width):
-                total += evaluator(SoftwareFaultSite(c.layer_id, c.var_type, v, b))
-                count += 1
-    return total / count
+    classes = [c for c in table.classes if include_control or c.layer_id != CONTROL_LAYER]
+    accs = class_accuracies(classes, table.bit_width, evaluator)
+    values = np.concatenate([a.ravel() for a in accs])
+    return sequential_sum(values) / len(values)
 
 
 def ra_true_nc(
     table: SiteProbabilityTable, evaluator: Evaluator, sa: float, uf: UFMap | None = None
 ) -> RAResult:
     """RA under the true site probabilities but with global-control FFs
-    assumed fault-free (their accuracy pinned to SA)."""
-
-    def ev(site: SoftwareFaultSite) -> float:
-        if site.var_type is FFType.CONTROL_GLOBAL:
-            return sa
-        return evaluator(site)
-
-    return ra_expected(table, ev, sa, uf)
+    assumed fault-free (their accuracy pinned to SA, never evaluated)."""
+    live = [c for c in table.classes if c.var_type is not FFType.CONTROL_GLOBAL]
+    got = iter(class_accuracies(live, table.bit_width, evaluator))
+    accs = [
+        np.full((c.var_count, table.bit_width), sa)
+        if c.var_type is FFType.CONTROL_GLOBAL else next(got)
+        for c in table.classes
+    ]
+    return ra_from_accuracies(table, accs, sa, uf)
 
 
 def fit_sdc_rates(
@@ -426,26 +465,28 @@ def fit_sdc_rates(
     A site counts as failing when SA - A(j) > threshold. The FIT-style rate
     includes crash sites; the SDC-style rate excludes them. Both are scaled
     by the configured raw FIT mass (sum of ff_count * raw_fit), so they are
-    comparable across hardening configurations.
+    comparable across hardening configurations. `crash_sites` is asked only
+    about failing sites; by default the global-control ones crash.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
-    if crash_sites is None:
-        crash_sites = lambda s: s.var_type is FFType.CONTROL_GLOBAL
-    fit_mass = sum(
-        config.ff_count.get(t, 0) * config.raw_fit.get(t, 0.0) for t in FFType
-    )
-    fit = 0.0
-    sdc = 0.0
-    for c in table.classes:
-        for v in range(c.var_count):
-            for b in range(table.bit_width):
-                site = SoftwareFaultSite(c.layer_id, c.var_type, v, b)
-                if sa - evaluator(site) > threshold:
-                    fit += c.per_var_per_bit_prob
-                    if not crash_sites(site):
-                        sdc += c.per_var_per_bit_prob
-    return fit * fit_mass, sdc * fit_mass
+    fit_terms = []
+    sdc_terms = []
+    accs = class_accuracies(table.classes, table.bit_width, evaluator)
+    for c, a in zip(table.classes, accs):
+        fails = np.flatnonzero(sa - a > threshold)  # var-major, as the sites run
+        if crash_sites is None:
+            crash = np.full(len(fails), c.var_type is FFType.CONTROL_GLOBAL)
+        else:
+            crash = np.array([
+                crash_sites(SoftwareFaultSite(c.layer_id, c.var_type, *divmod(j, table.bit_width)))
+                for j in fails.tolist()
+            ], dtype=bool)
+        fit_terms.append(np.full(len(fails), c.per_var_per_bit_prob))
+        sdc_terms.append(np.full(np.count_nonzero(~crash), c.per_var_per_bit_prob))
+    fit_mass = _fit_mass(config)
+    return (sequential_sum(np.concatenate(fit_terms)) * fit_mass,
+            sequential_sum(np.concatenate(sdc_terms)) * fit_mass)
 
 
 def _fit_mass(config: AcceleratorConfig) -> float:
@@ -470,20 +511,29 @@ def hardening_study(
     RA = r * RA_cond + (1 - r) * SA. Conditional RA alone cannot rank
     hardening choices — scaling every type's rate equally leaves the fault-
     site distribution, and hence conditional RA, unchanged.
+
+    Raw FIT rates change only the class probabilities, not the classes, so
+    A(j) is gathered once and every configuration reduces over it.
     """
-    from .probtransfer import build_table
+    configs = {"none": config}
+    for t in FFType:
+        configs[t.value] = config.with_raw_fit({t: hardened_fit})
+    configs["all"] = config.with_raw_fit({t: hardened_fit for t in FFType})
+    tables = {name: build_table(profile, cfg) for name, cfg in configs.items()}
+    base = tables["none"]
 
+    def sites(t: SiteProbabilityTable) -> list:
+        return [t.bit_width] + [(c.layer_id, c.var_type, c.var_count) for c in t.classes]
+
+    same = all(sites(t) == sites(base) for t in tables.values())
+    assert same, "hardening changed the fault-site classes"
+    accs = class_accuracies(base.classes, base.bit_width, evaluator)
     base_mass = _fit_mass(config)
-
-    def blended(cfg: AcceleratorConfig) -> RAResult:
-        cond = ra_expected(build_table(profile, cfg), evaluator, sa, uf)
+    results: dict[str, RAResult] = {}
+    for name, cfg in configs.items():
+        cond = ra_from_accuracies(tables[name], accs, sa, uf)
         r = _fit_mass(cfg) / base_mass
-        return RAResult(
+        results[name] = RAResult(
             ra=r * cond.ra + (1.0 - r) * sa, sa=sa, components=cond.components
         )
-
-    results: dict[str, RAResult] = {"none": blended(config)}
-    for t in FFType:
-        results[t.value] = blended(config.with_raw_fit({t: hardened_fit}))
-    results["all"] = blended(config.with_raw_fit({t: hardened_fit for t in FFType}))
     return results

@@ -101,6 +101,8 @@ class MicroNetwork:
         self._shapes = [tuple(self.input_shape)]
         shape = tuple(self.input_shape)
         for i, layer in enumerate(self.layers):
+            if isinstance(layer, (Conv2D, MaxPool2D)) and layer.stride < 1:
+                raise ValueError(f"layer {i}: stride must be >= 1, got {layer.stride}")
             if isinstance(layer, Conv2D):
                 oc, ic, kh, kw = layer.weight.shape
                 if len(shape) != 3 or shape[0] != ic:
@@ -117,8 +119,12 @@ class MicroNetwork:
             elif isinstance(layer, MaxPool2D):
                 if len(shape) != 3:
                     raise ValueError(f"layer {i}: maxpool expects (C, H, W), got {shape}")
+                if layer.kernel < 1:
+                    raise ValueError(f"layer {i}: pool kernel must be >= 1, got {layer.kernel}")
                 oh = (shape[1] - layer.kernel) // layer.stride + 1
                 ow = (shape[2] - layer.kernel) // layer.stride + 1
+                if oh < 1 or ow < 1:
+                    raise ValueError(f"layer {i}: empty pool output for input {shape}")
                 shape = (shape[0], oh, ow)
             elif isinstance(layer, Flatten):
                 shape = (int(np.prod(shape)),)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .profile import (
     CONTROL_LAYER,
     CONTROL_TYPES,
@@ -205,6 +207,59 @@ class RAResult:
     components: dict[FFType, float]
 
 
+def _site_accuracies(c: ProbClass, bit_width: int, accuracies: Accuracies):
+    for v in range(c.var_count):
+        for b in range(bit_width):
+            site = SoftwareFaultSite(c.layer_id, c.var_type, v, b)
+            a = accuracies(site)
+            if a is None:
+                raise ValueError(f"no accuracy available for site {site}")
+            yield a
+
+
+def class_accuracies(
+    classes: list[ProbClass], bit_width: int, accuracies: Accuracies
+) -> list[np.ndarray]:
+    """A(j) of every site of `classes`, one (var_count, bit_width) float
+    array per class. The evaluator is called once per site, class by class,
+    var-major; this is the one place that walks the sites of a table. The
+    values stream into the array, so no per-site objects are held."""
+    return [
+        np.fromiter(
+            _site_accuracies(c, bit_width, accuracies), dtype=np.float64,
+            count=c.var_count * bit_width,
+        ).reshape(c.var_count, bit_width)
+        for c in classes
+    ]
+
+
+def sequential_sum(terms: np.ndarray) -> float:
+    """Sum from 0.0 in array order, as a running `total += t` does. np.sum
+    adds pairwise and differs in the last bits; `add.accumulate` is
+    sequential but starts from the first term, and adding it to 0.0 gives
+    the sign of zero a sum from 0.0 has."""
+    terms = np.ravel(terms)
+    return 0.0 + float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
+
+
+def ra_from_accuracies(
+    table: SiteProbabilityTable,
+    accs: list[np.ndarray],
+    sa: float,
+    uf: Callable[[int], float] | None = None,
+) -> RAResult:
+    """`ra_expected` over A(j) already gathered by `class_accuracies` for
+    the classes of `table`, in its class order."""
+    ra = 0.0
+    components: dict[FFType, float] = {t: 0.0 for t in FFType}
+    for c, a in zip(table.classes, accs, strict=True):
+        u = 1.0 if uf is None or c.layer_id == CONTROL_LAYER else uf(c.layer_id)
+        acc = sequential_sum(c.per_var_per_bit_prob * (u * a + (1.0 - u) * sa))
+        ra += acc
+        components[c.var_type] += acc
+    return RAResult(ra=ra, sa=sa, components=components)
+
+
 def ra_expected(
     table: SiteProbabilityTable,
     accuracies: Accuracies,
@@ -217,22 +272,5 @@ def ra_expected(
     `uf` maps a layer id to its utilization; None means fully utilized.
     Control sites always use UF = 1 (control FFs are live for the whole run).
     """
-    ra = 0.0
-    components: dict[FFType, float] = {t: 0.0 for t in FFType}
-    for c in table.classes:
-        if uf is None or c.layer_id == CONTROL_LAYER:
-            u = 1.0
-        else:
-            u = uf(c.layer_id)
-        p = c.per_var_per_bit_prob
-        acc = 0.0
-        for v in range(c.var_count):
-            for b in range(table.bit_width):
-                site = SoftwareFaultSite(c.layer_id, c.var_type, v, b)
-                a = accuracies(site)
-                if a is None:
-                    raise ValueError(f"no accuracy available for site {site}")
-                acc += p * (u * a + (1.0 - u) * sa)
-        ra += acc
-        components[c.var_type] += acc
-    return RAResult(ra=ra, sa=sa, components=components)
+    accs = class_accuracies(table.classes, table.bit_width, accuracies)
+    return ra_from_accuracies(table, accs, sa, uf)

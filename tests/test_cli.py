@@ -19,7 +19,8 @@ from resacc.cli import (
 )
 from resacc.container import save_evalset, save_network
 from resacc.profile import config_to_text
-from resacc.toynets import make_config, make_dense_toy, make_evalset
+from resacc.formats import NumericFormat
+from resacc.toynets import make_config, make_dense_toy, make_evalset, make_pool_toy
 
 
 @pytest.fixture(scope="session")
@@ -210,6 +211,43 @@ def test_unknown_format_tag_is_validation_error(cli_inputs, tmp_path, capsys, wh
     inp = dict(cli_inputs, **{which: str(bad)})
     assert main(["oracle"] + _with_eval(inp, tmp_path / "out")) == EXIT_VALIDATION
     assert "unknown numeric format tag 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["network", "evalset"])
+def test_trailing_bytes_are_validation_error(cli_inputs, tmp_path, capsys, which):
+    bad = tmp_path / "trailing"
+    bad.write_bytes(Path(cli_inputs[which]).read_bytes() + b"junk")
+    inp = dict(cli_inputs, **{which: str(bad)})
+    assert main(["oracle"] + _with_eval(inp, tmp_path / "out")) == EXIT_VALIDATION
+    assert "4 trailing bytes after the container" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer,field,value,message", [
+    (0, "stride", 0, "layer 0: stride must be >= 1, got 0"),
+    (2, "stride", 0, "layer 2: stride must be >= 1, got 0"),
+    (2, "kernel", 0, "layer 2: pool kernel must be >= 1, got 0"),
+    (2, "kernel", 5, "layer 2: empty pool output for input (2, 4, 4)"),
+])
+def test_bad_conv_or_pool_geometry_is_validation_error(cli_inputs, tmp_path, capsys,
+                                                        layer, field, value, message):
+    net = make_pool_toy()  # conv (layer 0), ReLU, max-pool (layer 2), ...
+    setattr(net.layers[layer], field, value)
+    save_network(net, tmp_path / "bad.ranet")
+    inp = dict(cli_inputs, network=str(tmp_path / "bad.ranet"))
+    assert main(["profile"] + _common(inp, tmp_path / "out")) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_config_format_other_than_network_is_validation_error(cli_inputs, tmp_path, capsys):
+    cfg = tmp_path / "fp16.txt"
+    cfg.write_text(config_to_text(make_config(NumericFormat.FP16)))
+    inp = dict(cli_inputs, config=str(cfg))
+    rc = main(["estimate"] + _with_eval(inp, tmp_path / "out")
+              + ["--strategy", "uniform", "--samples", "10"])
+    assert rc == EXIT_VALIDATION
+    assert "config format FP16 != network format FP32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gridsim_outputs(cli_inputs, tmp_path):
