@@ -24,6 +24,7 @@ Evalset file layout:
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -76,7 +77,7 @@ def save_network(net: MicroNetwork, path: str | Path) -> None:
 
 
 def _read_array(buf: memoryview, off: int, shape, dtype, path):
-    n = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    n = math.prod(shape) * np.dtype(dtype).itemsize  # Python ints: no wrap-around
     if off + n > len(buf):
         raise ContainerError(
             f"{path}: truncated container: data ends at byte {len(buf)}, needs {off + n}"

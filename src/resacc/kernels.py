@@ -25,7 +25,8 @@ have not been run.
 The element kernels (``conv2d_elem``, ``fc_elem``) define the order in which
 a faulty output element is summed: sequentially from 0.0 over the fan-in, in
 (channel, row, column) order. ``dot_sequential`` sums many such elements for
-a batch of flips at once, in that order.
+a batch of flips at once, in that order, with one ``np.add.accumulate`` and
+no loop over the fan-in.
 """
 
 from __future__ import annotations
@@ -221,28 +222,19 @@ def dot_sequential(terms, hit_k, faulty):
     flipped value. ``faulty`` (F, n, E): the product at that position under
     each of F flips. Returns (F, n, E).
 
+    The terms before the first flipped one are the same under every flip and
+    are summed once into a head; the rest of each sum is one ``add.accumulate``
+    over (head, terms from there on, the flipped product in its place).
+    ``accumulate`` adds term by term in order, as the element kernels do
+    (``np.sum`` and ``add.reduce`` add pairwise and differ in the last bits).
     A sum started from +0.0 is never -0.0, so adding 0.0 for a skipped term
-    leaves it unchanged. The terms before the first flipped one are the same
-    under every flip and are summed once, by ``add.accumulate``, which is
-    sequential but starts from the first term; adding that sum to 0.0 gives
-    it the sign of zero a sum from 0.0 has.
+    leaves it unchanged; adding the head to 0.0 gives it the sign of zero a
+    sum from 0.0 has, since ``accumulate`` starts from the first term.
     """
     n, n_elems, n_terms = terms.shape
     k0 = int(hit_k.min())
-    if k0:
-        head = 0.0 + np.add.accumulate(terms[:, :, :k0], axis=2)[:, :, -1]
-    else:
-        head = np.zeros((n, n_elems))
-    acc = np.broadcast_to(head, (len(faulty), n, n_elems)).copy()
-    hits = {k: np.flatnonzero(hit_k == k) for k in set(hit_k.tolist())}
-    for k in range(k0, n_terms):
-        hit = hits.get(k)
-        if hit is None:
-            acc += terms[:, :, k]
-        elif len(hit) == n_elems:
-            acc += faulty
-        else:
-            before = acc[:, :, hit]
-            acc += terms[:, :, k]
-            acc[:, :, hit] = before + faulty[:, :, hit]
-    return acc
+    tail = np.empty((len(faulty), n, n_elems, 1 + n_terms - k0))
+    tail[..., 0] = 0.0 + np.add.accumulate(terms[:, :, :k0], axis=2)[:, :, -1] if k0 else 0.0
+    tail[..., 1:] = terms[:, :, k0:]
+    tail[:, :, np.arange(n_elems), hit_k - k0 + 1] = faulty
+    return np.add.accumulate(tail, axis=3, out=tail)[..., -1]

@@ -20,7 +20,8 @@ its cached clean output; only the elements that read the flipped value
 inside its reuse window are recomputed, and the bits x inputs batch then
 runs through the downstream layers as one forward. A batch too large for
 BATCH_BYTES goes in chunks of inputs, and a recompute in chunks of output
-elements, neither of which changes a result.
+elements whose (bits, inputs, elements, fan-in + 1) float64 sums fit in
+BATCH_BYTES; neither changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
@@ -33,12 +34,13 @@ else is in its batch. The shared network and the cache are never mutated.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .formats import NumericFormat, flip_bit_array
+from .formats import NumericFormat
 from .profile import (
     CONTROL_LAYER,
     AcceleratorConfig,
@@ -317,7 +319,10 @@ def _local_control_target(
 
 def _flipped(values: np.ndarray, bits: list[int], fmt: NumericFormat) -> np.ndarray:
     """``values`` with one bit flipped, for each of ``bits``: (F, *shape)."""
-    return np.stack([flip_bit_array(values, b, fmt) for b in bits])
+    if bits and not (0 <= min(bits) and max(bits) < fmt.width):
+        raise ValueError(f"bit positions {bits} out of range for {fmt.value}")
+    masks = np.left_shift(1, bits).astype(fmt.bits_dtype).reshape((-1,) + (1,) * values.ndim)
+    return (values.view(fmt.bits_dtype) ^ masks).view(fmt.dtype)
 
 
 def _conv_terms(layer: Conv2D, x: np.ndarray, o, y, z):
@@ -459,11 +464,10 @@ def _faulty_outputs(
             return out
         else:
             raise ValueError(f"input-activation fault unsupported on {type(layer).__name__}")
-    # Elements go in chunks whose (n, E, fan-in) products and (F, n, E) sums
-    # stay within BATCH_BYTES; each element is summed alone, so chunking
-    # changes no result.
+    # Elements go in chunks whose (F, n, E, fan-in + 1) sums stay within
+    # BATCH_BYTES; each element is summed alone, so chunking changes no result.
     fan_in = layer.weight[0].size
-    step = max(1, BATCH_BYTES // (8 * n * (fan_in + len(bits))))
+    step = max(1, BATCH_BYTES // (8 * n * len(bits) * (fan_in + 1)))
     for i in range(0, len(elems), step):
         sel = slice(i, i + step)
         terms, faulty = part(sel)
@@ -504,7 +508,7 @@ def faulty_predictions(
     fmt = net.numeric_format
     # Inputs go in chunks whose float64 activations stay within BATCH_BYTES;
     # every kernel treats batch items alone, so chunking changes no result.
-    widest = max(int(np.prod(s)) for s in net._shapes[net_index:])
+    widest = max(map(math.prod, net._shapes[net_index:]))
     step = max(1, BATCH_BYTES // (8 * len(bits) * widest))
     preds = []
     with np.errstate(all="ignore"):

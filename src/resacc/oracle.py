@@ -23,7 +23,7 @@ from .microdnn import (
     bit_accuracies,
     make_fault,
 )
-from .probtransfer import RAResult, SiteProbabilityTable, build_table, ra_expected
+from .probtransfer import RAResult, SiteProbabilityTable, build_table, ra_from_accuracies
 from .profile import (
     CONTROL_LAYER,
     CONTROL_TYPES,
@@ -128,7 +128,8 @@ def exhaustive_ra(
         entries[(c.layer_id, c.var_type)] = arr
     archive = SiteArchive(entries=entries, sa=sa, semantics=semantics)
     uf_fn = None if uf is None else (lambda lid: uf.get(lid, 1.0))
-    result = ra_expected(table, archive.evaluator, sa, uf_fn)
+    accs = [entries[(c.layer_id, c.var_type)] for c in table.classes]
+    result = ra_from_accuracies(table, accs, sa, uf_fn)
     return result, archive
 
 

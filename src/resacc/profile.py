@@ -28,6 +28,10 @@ class FFType(enum.Enum):
     CONTROL_GLOBAL = "control_global"
     CONTROL_LOCAL = "control_local"
 
+    # Members are singletons, so identity hashing is exact and runs in C;
+    # Enum.__hash__ hashes the name in Python on every dict lookup.
+    __hash__ = object.__hash__
+
 
 DATAPATH_TYPES = (FFType.INPUT_ACTIVATION, FFType.WEIGHT, FFType.OUTPUT_ACTIVATION)
 CONTROL_TYPES = (FFType.CONTROL_GLOBAL, FFType.CONTROL_LOCAL)

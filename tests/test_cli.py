@@ -3,9 +3,19 @@ byte-identical reruns."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import resacc
 
 from resacc.cli import (
     EXIT_OK,
@@ -248,6 +258,77 @@ def test_config_format_other_than_network_is_validation_error(cli_inputs, tmp_pa
     assert rc == EXIT_VALIDATION
     assert "config format FP16 != network format FP32" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_oracle_outputs_do_not_depend_on_the_hash_seed(cli_inputs, tmp_path):
+    """Two interpreters with different string hash seeds write the same
+    bytes: no output depends on hash order (``FFType`` hashes by identity)."""
+    src = str(Path(resacc.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"hashseed{seed}"
+        subprocess.run([sys.executable, "-m", "resacc.cli", "oracle"] + _with_eval(cli_inputs, out),
+                       env=env, capture_output=True, check=True)
+        outs.append(_tree_bytes(out))
+    assert outs[0] == outs[1] and outs[0]
+
+
+def test_huge_weight_dims_are_a_truncated_container(cli_inputs, tmp_path, capsys):
+    """A conv header of 65535^4 weights is larger than any file, not an
+    int64 size that wraps."""
+    save_network(make_pool_toy(), tmp_path / "pool.ranet")
+    data = bytearray((tmp_path / "pool.ranet").read_bytes())
+    data[17:25] = b"\xff" * 8  # the conv's out_c, in_c, kh, kw (u16 each)
+    (tmp_path / "huge.ranet").write_bytes(bytes(data))
+    inp = dict(cli_inputs, network=str(tmp_path / "huge.ranet"))
+    assert main(["profile"] + _common(inp, tmp_path / "out")) == EXIT_VALIDATION
+    assert "truncated container" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def pool_inputs(tmp_path_factory) -> dict:
+    d = tmp_path_factory.mktemp("pool_inputs")
+    net = make_pool_toy()
+    (d / "config.txt").write_text(config_to_text(make_config()))
+    save_network(net, d / "net.ranet")
+    save_evalset(make_evalset(net, 6, seed=1), net.numeric_format, d / "eval.raevs")
+    return {"config": str(d / "config.txt"), "network": str(d / "net.ranet"),
+            "evalset": str(d / "eval.raevs")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["network", "evalset"]), st.sampled_from(["cut", "overwrite", "append"]),
+       st.data())
+def test_mangled_container_gives_exit_0_or_2(pool_inputs, which, how, data):
+    """A saved pool toy, cut short, partly overwritten or with bytes appended,
+    is either still a valid input (exit 0) or a validation error (exit 2)
+    with a message; nothing escapes as a traceback. ``profile`` reads the
+    network; ``estimate`` also reads the evalset and runs a few injections."""
+    raw = bytearray(Path(pool_inputs[which]).read_bytes())
+    if how == "cut":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    elif how == "overwrite":
+        for pos, byte in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                      st.integers(0, 255)),
+                                            min_size=1, max_size=8), label="bytes"):
+            raw[pos] = byte
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=64), label="tail")
+    with tempfile.TemporaryDirectory() as d:
+        bad = Path(d) / "mangled"
+        bad.write_bytes(bytes(raw))
+        inp = dict(pool_inputs, **{which: str(bad)})
+        out = Path(d) / "out"
+        argv = (["profile"] + _common(inp, out) if which == "network" else
+                ["estimate"] + _with_eval(inp, out) + ["--strategy", "uniform", "--samples", "4"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+    if rc == EXIT_VALIDATION:
+        assert err.getvalue().startswith("validation error: "), err.getvalue()
 
 
 def test_gridsim_outputs(cli_inputs, tmp_path):

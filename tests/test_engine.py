@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from reference_engine import CRASH, reference_accuracy, reference_infer
 from resacc import kernels, microdnn
-from resacc.formats import NumericFormat
+from resacc.formats import NumericFormat, flip_bit_array
 from resacc.microdnn import (
     CRASHED,
     FC,
@@ -223,19 +223,28 @@ def test_batched_kernels_match_single_items(seed, stride, pad, kernel):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_dot_sequential_sums_in_fan_in_order(seed):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["spread", "shared", "from_0"]))
+def test_dot_sequential_sums_in_fan_in_order(seed, hits):
     """Bit for bit the sum the element kernels make: from 0.0, term by term,
     with the flipped product at each element's hit position and skipped
-    (0.0) terms left out."""
+    (0.0) terms left out. Flipped products may be NaN, +-Inf or -0.0; the
+    elements may all read the flip at one position (an FC or conv weight) or
+    read it first at position 0."""
     rng = np.random.default_rng(seed)
     n, n_elems, n_terms, n_flips = (int(v) for v in rng.integers(1, [4, 6, 300, 4]))
     terms = rng.normal(size=(n, n_elems, n_terms)) * 10.0 ** rng.integers(-3, 4, n_terms)
     terms[:, :, rng.random(n_terms) < 0.2] = 0.0
     terms[rng.random(terms.shape) < 0.05] = -0.0
     hit_k = rng.integers(0, n_terms, n_elems)
-    faulty = rng.normal(size=(n_flips, n, n_elems))
+    if hits == "shared":
+        hit_k[:] = hit_k[0]
+    elif hits == "from_0":
+        hit_k[rng.integers(n_elems)] = 0
+    faulty = rng.normal(size=(n_flips, n, n_elems)) * 10.0 ** rng.integers(-3, 4)
+    special = rng.random(faulty.shape) < 0.3
+    faulty[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], special.sum())
     got = kernels.dot_sequential(terms, hit_k, faulty)
+    assert got.shape == faulty.shape
     for f in range(n_flips):
         for i in range(n):
             for e in range(n_elems):
@@ -245,13 +254,36 @@ def test_dot_sequential_sums_in_fan_in_order(seed):
                         acc += faulty[f, i, e]
                     elif terms[i, e, k] != 0.0:
                         acc += terms[i, e, k]
-                assert got[f, i, e] == acc and np.signbit(got[f, i, e]) == np.signbit(acc)
+                if np.isnan(acc):
+                    assert np.isnan(got[f, i, e])
+                else:
+                    assert got[f, i, e] == acc and np.signbit(got[f, i, e]) == np.signbit(acc)
 
 
 def test_dot_sequential_zero_sum_is_positive_zero():
     terms = np.full((2, 3, 5), -0.0)
     got = kernels.dot_sequential(terms, np.array([4, 2, 1]), np.full((2, 2, 3), -0.0))
     assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
+def test_flipped_equals_one_flip_per_bit(fmt):
+    """One XOR for all bits gives what ``flip_bit_array`` gives bit by bit,
+    for every bit pattern class (NaN, Inf and subnormal patterns included)
+    and for a strided view, as the engine passes a column of the cache."""
+    rng = np.random.default_rng(fmt.width)
+    patterns = rng.integers(0, 1 << fmt.width, size=(64, 3), dtype=np.uint64)
+    values = patterns.astype(fmt.bits_dtype).view(fmt.dtype)[:, 1]
+    bits = list(range(fmt.width))
+    got = microdnn._flipped(values, bits, fmt)
+    want = np.stack([flip_bit_array(values, b, fmt) for b in bits])
+    assert got.dtype == fmt.dtype and got.shape == (fmt.width, 64)
+    assert np.array_equal(got.view(fmt.bits_dtype), want.view(fmt.bits_dtype))
+    assert np.array_equal(microdnn._flipped(values[:1], [3, 0], fmt).view(fmt.bits_dtype),
+                          want[[3, 0], :1].view(fmt.bits_dtype))
+    for bad in ([fmt.width], [0, -1]):
+        with pytest.raises(ValueError):
+            microdnn._flipped(values, bad, fmt)
 
 
 @settings(max_examples=200, deadline=None)

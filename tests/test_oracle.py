@@ -27,7 +27,7 @@ from resacc.profile import (
     SoftwareFaultSite,
     derive_profile,
 )
-from resacc.toynets import make_config, make_dense_toy, make_evalset
+from resacc.toynets import make_config, make_dense_toy, make_evalset, make_pool_toy
 
 from conftest import build_context
 
@@ -42,6 +42,24 @@ def test_exhaustive_ra_equals_archive_weighted_sum(dense_ctx, dense_oracle):
         total += c.per_var_per_bit_prob * arr.sum()
     assert res.ra == pytest.approx(total, rel=1e-12)
     assert res.sa == arch.sa
+
+
+@pytest.mark.parametrize("with_uf", [False, True], ids=["uf_none", "uf"])
+@pytest.mark.parametrize("toy", ["dense", "pool"])
+def test_exhaustive_ra_is_bit_exact_to_ra_expected_over_the_archive(toy, with_uf):
+    """The oracle's RA, summed over its own arrays, is the RA `ra_expected`
+    gives by asking the archive one site at a time, to the last bit."""
+    make = {"dense": lambda: make_dense_toy(seed=3), "pool": make_pool_toy}[toy]
+    ctx = build_context(make(), make_config())
+    # uf leaves the last layer out, so it also takes the 1.0 default.
+    uf = ({l.layer_id: 0.3 + 0.2 * i for i, l in enumerate(ctx.profile.layers[:-1])}
+          if with_uf else None)
+    res, arch = exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset, uf=uf)
+    want = ra_expected(ctx.table, arch.evaluator, arch.sa,
+                       None if uf is None else (lambda lid: uf.get(lid, 1.0)))
+    assert res.ra == want.ra
+    assert res.components == want.components
+    assert res.sa == want.sa == arch.sa
 
 
 def test_crash_classes_archived_as_zero(dense_oracle):
