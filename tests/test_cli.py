@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resacc
-
 from resacc.cli import (
     EXIT_OK,
     EXIT_SCALE,

@@ -52,7 +52,7 @@ def test_exhaustive_ra_is_bit_exact_to_ra_expected_over_the_archive(toy, with_uf
     make = {"dense": lambda: make_dense_toy(seed=3), "pool": make_pool_toy}[toy]
     ctx = build_context(make(), make_config())
     # uf leaves the last layer out, so it also takes the 1.0 default.
-    uf = ({l.layer_id: 0.3 + 0.2 * i for i, l in enumerate(ctx.profile.layers[:-1])}
+    uf = ({layer.layer_id: 0.3 + 0.2 * i for i, layer in enumerate(ctx.profile.layers[:-1])}
           if with_uf else None)
     res, arch = exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset, uf=uf)
     want = ra_expected(ctx.table, arch.evaluator, arch.sa,
