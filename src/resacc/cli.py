@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -151,7 +152,7 @@ def _spec_hash(paths: list[Path], extra: str) -> str:
 def _load_config(path: str) -> AcceleratorConfig:
     try:
         return config_from_text(Path(path).read_text())
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, OverflowError) as e:
         raise ValidationError(f"config {path}: {e}") from e
 
 
@@ -190,6 +191,16 @@ def _parse_utilization(text: str | None) -> dict[int, float] | None:
     return out
 
 
+def _apply_harden(config: AcceleratorConfig, args) -> AcceleratorConfig:
+    fit = args.harden_fit
+    if not (math.isfinite(fit) and fit >= 0):
+        # also the rate `study --study harden` lowers each type to
+        raise ValidationError(f"--harden-fit {fit!r} must be finite and >= 0")
+    if not args.harden:
+        return config
+    return config.with_raw_fit({FFType(args.harden): fit})  # a choice of the parser
+
+
 def _build_context(args, need_evalset: bool):
     config = _load_config(args.config)
     net = _load_net(args.network)
@@ -199,6 +210,7 @@ def _build_context(args, need_evalset: bool):
             f"config format {config.numeric_format.name} != "
             f"network format {net.numeric_format.name}"
         )
+    config = _apply_harden(config, args)
     util = _parse_utilization(getattr(args, "utilization", None))
     profile = derive_profile(net, config, utilization=util)
     problems = validate_profile(profile, config)
@@ -228,17 +240,6 @@ def _uf_map(args, profile):
     return None
 
 
-def _apply_harden(config: AcceleratorConfig, args) -> AcceleratorConfig:
-    name = getattr(args, "harden", None)
-    if not name:
-        return config
-    try:
-        t = FFType(name)
-    except ValueError as e:
-        raise ValidationError(f"unknown FF type {name!r}") from e
-    return config.with_raw_fit({t: args.harden_fit})
-
-
 # --- subcommands -----------------------------------------------------------
 
 def cmd_profile(args, out: RunOutputs) -> int:
@@ -253,7 +254,6 @@ def cmd_profile(args, out: RunOutputs) -> int:
 
 def cmd_probs(args, out: RunOutputs) -> int:
     config, net, profile, _ = _build_context(args, need_evalset=False)
-    config = _apply_harden(config, args)
     table = build_table(profile, config)
     rows = [
         (c.layer_id, c.var_type.value, c.per_var_per_bit_prob,
@@ -305,7 +305,6 @@ def cmd_estimate(args, out: RunOutputs) -> int:
     if args.samples is None and not args.poc:
         raise UsageError("need --samples K or --poc")
     config, net, profile, evalset = _build_context(args, need_evalset=True)
-    config = _apply_harden(config, args)
     table = build_table(profile, config)
     sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
@@ -347,7 +346,6 @@ def cmd_estimate(args, out: RunOutputs) -> int:
 
 def cmd_compare(args, out: RunOutputs) -> int:
     config, net, profile, evalset = _build_context(args, need_evalset=True)
-    config = _apply_harden(config, args)
     table = build_table(profile, config)
     sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
@@ -394,7 +392,6 @@ def cmd_compare(args, out: RunOutputs) -> int:
 
 def cmd_oracle(args, out: RunOutputs) -> int:
     config, net, profile, evalset = _build_context(args, need_evalset=True)
-    config = _apply_harden(config, args)
     semantics = _semantics(args)
     spec_hash = _hash_for(args, need_evalset=True)
     result, archive = exhaustive_ra(
@@ -419,7 +416,6 @@ def cmd_oracle(args, out: RunOutputs) -> int:
 
 def cmd_gridsim(args, out: RunOutputs) -> int:
     config, net, profile, _ = _build_context(args, need_evalset=False)
-    config = _apply_harden(config, args)
     spec_hash = _hash_for(args, need_evalset=False)
     grid = GridModel.build(profile, config)
     tally = grid_simulate(grid, args.pins, args.seed)

@@ -21,7 +21,10 @@ weight and contribution is an array operation over the batch. The exact sums
 and studies gather A(j) into one array per (layer, type) class
 (`probtransfer.class_accuracies`) and reduce over those arrays, summing
 sequentially in site order (`probtransfer.sequential_sum`), so every result
-equals that of a per-site running sum bit for bit.
+equals that of a per-site running sum bit for bit. Neither per-site loop runs
+a Python frame of its own: both build their sites with `map` over column
+lists (`profile.fault_sites`) and map the evaluator over them into one array
+(`probtransfer.gather_accuracies`), so the evaluator's frame is the only one.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .probtransfer import (
     SiteProbabilityTable,
     build_table,
     class_accuracies,
+    gather_accuracies,
     ra_from_accuracies,
     sequential_sum,
 )
@@ -48,6 +52,7 @@ from .profile import (
     FFType,
     NetworkProfile,
     SoftwareFaultSite,
+    fault_sites,
 )
 
 Evaluator = Callable[[SoftwareFaultSite], float]
@@ -290,7 +295,8 @@ class _SiteMemo:
     """A(j) of every site drawn so far in one run. Each draw is keyed by an
     integer unique to its site: the (layer, type, bit) of its unit times a
     span above every var index, plus its var. Sites missing from the memo
-    are evaluated in first-draw order, so the evaluator sees the calls a
+    are built from the batch's columns and evaluated in first-draw order
+    through `gather_accuracies`, so the evaluator sees the calls a
     per-sample loop with a site dictionary would make."""
 
     def __init__(self, pdf: DiscretePDF, evaluator: Evaluator):
@@ -316,16 +322,13 @@ class _SiteMemo:
         if len(fresh):
             pdf, at = self.pdf, first[fresh]
             u = units[at]
-            got = [
-                self.evaluator(SoftwareFaultSite(lid, _FFTYPES[t], v, b))
-                for lid, t, v, b in zip(
-                    pdf.layer_ids[u].tolist(), pdf.type_codes[u].tolist(),
-                    vars_[at].tolist(), pdf.bit_pos[u].tolist(),
-                )
-            ]
-            if None in got:
-                raise ValueError("evaluator returned no accuracy for a drawn site")
-            vals[fresh] = got
+            sites = fault_sites(
+                pdf.layer_ids[u].tolist(), map(_FFTYPES.__getitem__, pdf.type_codes[u].tolist()),
+                vars_[at].tolist(), pdf.bit_pos[u].tolist(),
+            )
+            vals[fresh] = gather_accuracies(
+                self.evaluator, sites, len(fresh), lambda i: pdf.site_at(u[i], vars_[at[i]])
+            )
             keys = np.concatenate([self.keys, uniq[fresh]])
             order = np.argsort(keys)
             self.keys = keys[order]

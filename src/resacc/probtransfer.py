@@ -14,7 +14,10 @@ lazily; control variables live in a pseudo-layer spanning the whole run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from itertools import chain, repeat, takewhile
+from operator import is_not
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .profile import (
     FFType,
     NetworkProfile,
     SoftwareFaultSite,
+    fault_sites,
 )
 
 Accuracies = Callable[[SoftwareFaultSite], float]
@@ -195,9 +199,16 @@ def build_table(
         classes.append(ProbClass(CONTROL_LAYER, t, n, p))
     if not classes:
         raise ValueError("profile yields no fault-site classes")
-    return SiteProbabilityTable(
+    table = SiteProbabilityTable(
         classes=classes, bit_width=config.bit_width, normalization=norm
     )
+    total = table.total_prob()
+    if not abs(total - 1.0) <= 1e-9:
+        # finite rates near the float maximum overflow the denominators
+        raise ValueError(
+            f"site probabilities sum to {total!r}, not 1: raw FIT rates out of range"
+        )
+    return table
 
 
 @dataclass
@@ -207,14 +218,25 @@ class RAResult:
     components: dict[FFType, float]
 
 
-def _site_accuracies(c: ProbClass, bit_width: int, accuracies: Accuracies):
-    for v in range(c.var_count):
-        for b in range(bit_width):
-            site = SoftwareFaultSite(c.layer_id, c.var_type, v, b)
-            a = accuracies(site)
-            if a is None:
-                raise ValueError(f"no accuracy available for site {site}")
-            yield a
+_has_accuracy = partial(is_not, None)
+
+
+def gather_accuracies(
+    accuracies: Accuracies,
+    sites: Iterable[SoftwareFaultSite],
+    count: int,
+    site_at: Callable[[int], SoftwareFaultSite],
+) -> np.ndarray:
+    """A(j) of `count` sites as one float array, asking the evaluator once
+    per site, in order. `map`, `takewhile` and `np.fromiter` run the loop in
+    C, so the only Python frame per site is the evaluator's, and the values
+    stream into the array. The first site with no accuracy (None) stops the
+    loop, so no site after it is asked, and raises a ValueError naming it
+    (`site_at(i)` rebuilds the i-th site)."""
+    a = np.fromiter(takewhile(_has_accuracy, map(accuracies, sites)), dtype=np.float64)
+    if len(a) < count:
+        raise ValueError(f"no accuracy available for site {site_at(len(a))}")
+    return a
 
 
 def class_accuracies(
@@ -223,14 +245,22 @@ def class_accuracies(
     """A(j) of every site of `classes`, one (var_count, bit_width) float
     array per class. The evaluator is called once per site, class by class,
     var-major; this is the one place that walks the sites of a table. The
-    values stream into the array, so no per-site objects are held."""
-    return [
-        np.fromiter(
-            _site_accuracies(c, bit_width, accuracies), dtype=np.float64,
-            count=c.var_count * bit_width,
-        ).reshape(c.var_count, bit_width)
-        for c in classes
-    ]
+    sites are built lazily from `itertools` columns and go through
+    `gather_accuracies`, so no per-site Python frame or object is held."""
+    out = []
+    for c in classes:
+        n = c.var_count * bit_width
+        sites = fault_sites(
+            repeat(c.layer_id, n), repeat(c.var_type, n),
+            chain.from_iterable(map(repeat, range(c.var_count), repeat(bit_width))),
+            chain.from_iterable(repeat(range(bit_width), c.var_count)),
+        )
+        a = gather_accuracies(
+            accuracies, sites, n,
+            lambda i: SoftwareFaultSite(c.layer_id, c.var_type, *divmod(i, bit_width)),
+        )
+        out.append(a.reshape(c.var_count, bit_width))
+    return out
 
 
 def sequential_sum(terms: np.ndarray) -> float:

@@ -10,7 +10,9 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .formats import NumericFormat
 
@@ -37,17 +39,38 @@ DATAPATH_TYPES = (FFType.INPUT_ACTIVATION, FFType.WEIGHT, FFType.OUTPUT_ACTIVATI
 CONTROL_TYPES = (FFType.CONTROL_GLOBAL, FFType.CONTROL_LOCAL)
 
 
-@dataclass(frozen=True)
-class SoftwareFaultSite:
+class SoftwareFaultSite(NamedTuple):
     """A single injectable fault: one bit of one variable of one layer.
 
-    Control sites use ``layer_id == CONTROL_LAYER``.
+    Control sites use ``layer_id == CONTROL_LAYER``. A tuple, so building,
+    hashing and comparing sites run in C; fields cannot be reassigned.
     """
 
     layer_id: int
     var_type: FFType
     var_index: int
     bit_pos: int
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def fault_sites(
+    layer_ids: Iterable[int],
+    var_types: Iterable[FFType],
+    var_indices: Iterable[int],
+    bit_positions: Iterable[int],
+) -> Iterator[SoftwareFaultSite]:
+    """Lazily zip four columns into sites. ``tuple.__new__`` is called from
+    ``map``, so no Python frame runs per site (``SoftwareFaultSite(...)`` and
+    ``_make`` each run one)."""
+    return map(
+        tuple.__new__, repeat(SoftwareFaultSite),
+        zip(layer_ids, var_types, var_indices, bit_positions),
+    )
 
 
 @dataclass
@@ -203,10 +226,17 @@ def validate_profile(
         if n < 0:
             problems.append(f"config: ff_count[{t.value}] < 0")
     fits = [config.raw_fit.get(t, 0.0) for t in FFType]
-    if any(f < 0 for f in fits):
-        problems.append("config: raw_fit rates must be >= 0")
+    for t, f in zip(FFType, fits):
+        if not (math.isfinite(f) and f >= 0):
+            problems.append(f"config: raw_fit[{t.value}] = {f!r} must be finite and >= 0")
     if not any(f > 0 for f in fits):
         problems.append("config: at least one raw_fit rate must be > 0")
+    for t, r in config.reuse.items():
+        if r < 1:
+            problems.append(f"config: reuse[{t.value}] = {r} must be >= 1")
+    frac = config.control_global_fraction
+    if not 0.0 <= frac <= 1.0:
+        problems.append(f"config: control_global_fraction {frac!r} outside [0, 1]")
     if config.bit_width != config.numeric_format.width:
         problems.append(
             f"config: bit_width {config.bit_width} does not match "
@@ -257,8 +287,18 @@ def config_to_text(config: AcceleratorConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONFIG_KEYS = frozenset(
+    {"bit_width", "numeric_format", "control_global_fraction",
+     "ff_count.control", "raw_fit.control"}
+    | {f"{p}.{t.value}" for p in ("ff_count", "raw_fit", "reuse") for t in FFType}
+)
+
+
 def config_from_text(text: str) -> AcceleratorConfig:
     kv = parse_kv_text(text)
+    for key in kv:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unrecognized config key: {key}")
     fmt = NumericFormat(kv.get("numeric_format", "FP32"))
     frac = float(kv.get("control_global_fraction", 2.0 / 3.0))
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -350,3 +351,128 @@ def test_study_outputs(cli_inputs, tmp_path, study, fname, schema, nrows):
               + ["--study", study])
     assert rc == EXIT_OK
     assert len(read_csv(tmp_path / fname, schema)) == nrows
+
+
+# --- configs that used to give silently wrong output ------------------------
+
+def _probs(inp, tmp_path, capsys, *extra: str, config_text: str | None = None):
+    """Run `resacc probs`, optionally on another config text; (rc, stderr)."""
+    if config_text is not None:
+        (tmp_path / "cfg.txt").write_text(config_text)
+        inp = dict(inp, config=str(tmp_path / "cfg.txt"))
+    rc = main(["probs"] + _common(inp, tmp_path / "out") + list(extra))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    return rc, err
+
+
+def _config_with(key: str, value: str) -> str:
+    """make_config()'s text with the line of `key` set to `value`."""
+    lines = config_to_text(make_config()).splitlines()
+    lines = [l for l in lines if l.split("=")[0].strip() != key] + [f"{key} = {value}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_negative_harden_fit_is_validation_error(cli_inputs, tmp_path, capsys):
+    rc, err = _probs(cli_inputs, tmp_path, capsys, "--harden", "weight", "--harden-fit", "-5")
+    assert rc == EXIT_VALIDATION
+    assert "validation error: --harden-fit -5.0 must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("where", ["harden", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_fit_rate_is_validation_error(cli_inputs, tmp_path, capsys, where, value):
+    if where == "harden":
+        rc, err = _probs(cli_inputs, tmp_path, capsys, "--harden", "weight", "--harden-fit", value)
+        assert f"--harden-fit {float(value)!r} must be finite" in err
+    else:
+        rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=_config_with("raw_fit.weight", value))
+        assert f"raw_fit[weight] = {float(value)!r} must be finite and >= 0" in err
+    assert rc == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_reuse_below_one_is_validation_error(cli_inputs, tmp_path, capsys, value):
+    rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=_config_with("reuse.weight", value))
+    assert rc == EXIT_VALIDATION
+    assert f"reuse[weight] = {value} must be >= 1" in err
+
+
+def test_nan_control_global_fraction_is_validation_error(cli_inputs, tmp_path, capsys):
+    text = _config_with("control_global_fraction", "nan")
+    rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=text)
+    assert rc == EXIT_VALIDATION
+    assert "control_global_fraction nan outside [0, 1]" in err
+
+
+@pytest.mark.parametrize("key", ["bogus", "bitwidth", "reuse.control"])
+def test_unknown_config_key_is_validation_error(cli_inputs, tmp_path, capsys, key):
+    text = config_to_text(make_config()) + f"{key} = 3\n"
+    rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=text)
+    assert rc == EXIT_VALIDATION
+    assert f"unrecognized config key: {key}" in err
+
+
+def test_fit_rate_near_float_max_is_validation_error(cli_inputs, tmp_path, capsys):
+    """Finite rates whose denominators overflow gave all-zero probabilities."""
+    text = _config_with("raw_fit.weight", "1e308")
+    rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=text)
+    assert rc == EXIT_VALIDATION
+    assert "site probabilities sum to 0.0, not 1" in err
+
+
+def test_negative_harden_fit_fails_the_hardening_study(cli_inputs, tmp_path, capsys):
+    rc = main(["study"] + _with_eval(cli_inputs, tmp_path / "out")
+              + ["--study", "harden", "--harden-fit", "-5"])
+    assert rc == EXIT_VALIDATION
+    assert "--harden-fit -5.0 must be finite and >= 0" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = ["nan", "inf", "-1", "0", "1e308"]
+
+
+@st.composite
+def _mutated_config(draw) -> str:
+    """make_config()'s text with 1-3 lines dropped, duplicated, set to an
+    odd value or garbage, or an unknown key appended."""
+    lines = config_to_text(make_config()).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["drop", "duplicate", "set", "append"]))
+        value = draw(st.sampled_from(_FUZZ_VALUES) | st.text(max_size=8))
+        if how == "append" or not lines:
+            key = draw(st.text("abcdefghijklmnopqrstuvwxyz_.", min_size=1, max_size=16))
+            lines.append(f"{key} = {value}")
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = f"{lines[i].split('=')[0].strip()} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_config())
+def test_mutated_config_gives_valid_probabilities_or_exit_2(cli_inputs, text):
+    """`resacc probs` on a mutated config either writes probabilities that
+    are finite, in [0, 1] and sum to 1, or is a validation error."""
+    with tempfile.TemporaryDirectory() as d:
+        cfg = Path(d) / "config.txt"
+        cfg.write_text(text)
+        out = Path(d) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["probs"] + _common(dict(cli_inputs, config=str(cfg)), out))
+        assert rc in (EXIT_OK, EXIT_VALIDATION), err.getvalue()
+        if rc == EXIT_VALIDATION:
+            assert err.getvalue().startswith("validation error: "), err.getvalue()
+            return
+        rows = read_csv(out / "probs.csv",
+                        "layer_id,var_type,per_var_per_bit_prob,class_total_prob")
+    probs = [float(r[2]) for r in rows]
+    totals = [float(r[3]) for r in rows]
+    assert all(math.isfinite(p) and 0.0 <= p <= 1.0 for p in probs + totals), rows
+    assert abs(math.fsum(totals) - 1.0) <= 1e-12, rows

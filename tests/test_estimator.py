@@ -22,8 +22,13 @@ from resacc.estimator import (
     ra_true_nc,
     uniform_site_mean,
 )
-from resacc.probtransfer import SiteProbabilityTable, build_table, ra_expected
-from resacc.profile import CONTROL_LAYER, FFType, derive_profile
+from resacc.probtransfer import (
+    SiteProbabilityTable,
+    build_table,
+    class_accuracies,
+    ra_expected,
+)
+from resacc.profile import CONTROL_LAYER, FFType, SoftwareFaultSite, derive_profile
 
 ALL_STRATEGIES = list(SamplingStrategy)
 
@@ -354,3 +359,76 @@ def test_expected_ra_with_uf_zero_is_sa_on_datapath(dense_ctx, dense_oracle):
                + r0.components[FFType.CONTROL_LOCAL])
     assert r0.ra == pytest.approx((1.0 - ctl) * arch.sa + ctl_acc, rel=1e-12)
     assert r0.ra > res_full.ra  # idling can only help here (SA is the max)
+
+
+# --- per-site paths: the sites the memo and the gather build ----------------
+
+class _Recorder:
+    """Evaluator that records every site asked and answers from an archive,
+    or None from the `none_at`-th call on."""
+
+    def __init__(self, fn, none_at: int | None = None):
+        self.fn = fn
+        self.none_at = none_at
+        self.calls = []
+
+    def __call__(self, site):
+        self.calls.append(site)
+        return None if len(self.calls) - 1 == self.none_at else self.fn(site)
+
+
+def _assert_built_like(got: list, want: list):
+    """`got` are the sites `want` spells out with the constructor: equal,
+    hashing equal, of the same type, with Python int fields."""
+    assert got == want
+    assert [hash(s) for s in got] == [hash(s) for s in want]
+    for s in got:
+        assert type(s) is SoftwareFaultSite
+        assert all(type(f) is int for f in (s.layer_id, s.var_index, s.bit_pos))
+        assert type(s.var_type) is FFType
+
+
+def test_gather_builds_the_sites_of_a_var_major_loop(dense_ctx, dense_oracle):
+    _, arch = dense_oracle
+    table = dense_ctx.table
+    ev = _Recorder(arch.evaluator)
+    class_accuracies(table.classes, table.bit_width, ev)
+    _assert_built_like(ev.calls, [
+        SoftwareFaultSite(c.layer_id, c.var_type, v, b)
+        for c in table.classes for v in range(c.var_count) for b in range(table.bit_width)
+    ])
+
+
+def test_memo_builds_the_sites_of_a_first_draw_loop(dense_ctx, dense_oracle):
+    _, arch = dense_oracle
+    pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
+    ev = _Recorder(arch.evaluator)
+    estimate_ra(pdf, dense_ctx.table, ev, samples=3000, batch=3000, seed=4)
+    units, vars_ = pdf.draw_batch(np.random.default_rng(4), 3000)
+    want = list(dict.fromkeys(pdf.site_at(u, v) for u, v in zip(units, vars_)))
+    _assert_built_like(ev.calls, want)
+
+
+def test_gather_names_the_first_missing_site_and_asks_no_further(dense_ctx, dense_oracle):
+    _, arch = dense_oracle
+    table = dense_ctx.table
+    c0, c1 = table.classes[:2]
+    k = c0.var_count * table.bit_width + 2 * table.bit_width + 5  # class 1, var 2, bit 5
+    ev = _Recorder(arch.evaluator, none_at=k)
+    missing = SoftwareFaultSite(c1.layer_id, c1.var_type, 2, 5)
+    with pytest.raises(ValueError) as err:
+        class_accuracies(table.classes, table.bit_width, ev)
+    assert str(err.value) == f"no accuracy available for site {missing}"
+    assert len(ev.calls) == k + 1 and ev.calls[-1] == missing
+
+
+def test_memo_names_the_first_missing_site_and_asks_no_further(dense_ctx, dense_oracle):
+    _, arch = dense_oracle
+    pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
+    ev = _Recorder(arch.evaluator, none_at=7)
+    with pytest.raises(ValueError) as err:
+        estimate_ra(pdf, dense_ctx.table, ev, samples=500, batch=500, seed=2)
+    units, vars_ = pdf.draw_batch(np.random.default_rng(2), 500)
+    missing = list(dict.fromkeys(pdf.site_at(u, v) for u, v in zip(units, vars_)))[7]
+    assert str(err.value) == f"no accuracy available for site {missing}"
+    assert len(ev.calls) == 8 and ev.calls[-1] == missing

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,48 @@ def test_grid_utilization_matches_exhaustive_uf_ra(dense_oracle):
     )
     assert res.ra == pytest.approx(manual.ra, rel=1e-12)
     assert res.ra > ra_expected(ctx.table, arch.evaluator, arch.sa).ra
+
+
+# --- archive reads ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def pool16_oracle():
+    ctx = build_context(make_pool_toy(NumericFormat.FP16), make_config(NumericFormat.FP16))
+    return exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset)
+
+
+@pytest.mark.parametrize("which", ["pool16", "skew0"])
+def test_archive_evaluator_reads_every_site_as_its_float(request, which):
+    """Each read is a Python float with the archived bits, for every site; a
+    site outside the archive still raises."""
+    _, arch = request.getfixturevalue(f"{which}_oracle")
+    for (lid, t), arr in arch.entries.items():
+        n, width = arr.shape
+        got = [arch.evaluator(SoftwareFaultSite(lid, t, v, b))
+               for v in range(n) for b in range(width)]
+        assert all(type(a) is float for a in got)
+        assert np.array(got).tobytes() == np.ascontiguousarray(arr).tobytes()
+        with pytest.raises(IndexError):
+            arch.evaluator(SoftwareFaultSite(lid, t, n, 0))
+        with pytest.raises(IndexError):
+            arch.evaluator(SoftwareFaultSite(lid, t, 0, width))
+    with pytest.raises(KeyError):
+        arch.evaluator(SoftwareFaultSite(99, FFType.WEIGHT, 0, 0))
+
+
+def test_loaded_archive_is_read_only(dense_oracle, tmp_path):
+    """Neither the arrays, the mapping nor the attribute can change, so the
+    per-class lists the evaluator reads cannot go stale."""
+    _, arch = dense_oracle
+    arch.save(tmp_path / "a.npz")
+    loaded = SiteArchive.load(tmp_path / "a.npz")
+    key = next(iter(loaded.entries))
+    site = SoftwareFaultSite(*key, 0, 0)
+    before = loaded.evaluator(site)
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.entries[key][0, 0] = before + 1.0
+    with pytest.raises(TypeError):
+        loaded.entries[key] = np.zeros_like(loaded.entries[key])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        loaded.entries = {}
+    assert loaded.evaluator(site) == before == float(arch.entries[key][0, 0])

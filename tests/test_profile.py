@@ -144,3 +144,12 @@ def test_derive_profile_deterministic(seed, fmt):
     b = derive_profile(make_dense_toy(fmt=fmt, seed=seed), config)
     assert a == b
     assert a.total_macs == sum(l.mac_count for l in a.layers)
+
+
+def test_fault_site_repr_and_fields():
+    s = SoftwareFaultSite(0, FFType.WEIGHT, 3, 7)
+    assert repr(s) == ("SoftwareFaultSite(layer_id=0, var_type=<FFType.WEIGHT: 'weight'>, "
+                       "var_index=3, bit_pos=7)")
+    assert SoftwareFaultSite._fields == ("layer_id", "var_type", "var_index", "bit_pos")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del s.layer_id
