@@ -9,10 +9,8 @@ frequencies match the analytical site probabilities.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -41,44 +39,21 @@ class ScaleGuardExceeded(RuntimeError):
     """The exhaustive campaign would exceed the configured inference budget."""
 
 
-class _ClassLists(dict):
-    """(layer, type) -> that class's A(j) as nested Python lists, built from
-    `entries` on the class's first read."""
-
-    def __init__(self, entries):
-        super().__init__()
-        self.entries = entries
-
-    def __missing__(self, key):
-        lists = self[key] = np.asarray(self.entries[key], dtype=np.float64).tolist()
-        return lists
-
-
-@dataclass(frozen=True)
+@dataclass
 class SiteArchive:
     """Per-site accuracies A(j), indexed by (layer, type) -> (var, bit).
 
-    The archive is read-only: `entries` is a read-only mapping of read-only
-    arrays. `evaluator` reads each class from nested Python lists built on
-    its first read, which is a Python float per lookup with no numpy scalar;
-    `load` and `exhaustive_ra` build none of them.
+    `evaluator` reads one A(j) with `ndarray.item`, which returns the Python
+    float straight from the array, with no numpy scalar in between.
     """
 
-    entries: Mapping[tuple[int, FFType], np.ndarray]
+    entries: dict[tuple[int, FFType], np.ndarray]
     sa: float
     semantics: FaultSemantics = FaultSemantics.TRUE
-    _lists: _ClassLists = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        entries = dict(self.entries)
-        for arr in entries.values():
-            arr.flags.writeable = False
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-        object.__setattr__(self, "_lists", _ClassLists(entries))
 
     def evaluator(self, site: SoftwareFaultSite) -> float:
         layer_id, var_type, var_index, bit_pos = site
-        return self._lists[layer_id, var_type][var_index][bit_pos]
+        return self.entries[layer_id, var_type].item(var_index, bit_pos)
 
     def class_mean(self, layer_id: int, var_type: FFType, bit_pos: int) -> float:
         return float(self.entries[(layer_id, var_type)][:, bit_pos].mean())

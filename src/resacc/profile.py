@@ -269,7 +269,10 @@ def parse_kv_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key}")
+        out[key] = value.strip()
     return out
 
 

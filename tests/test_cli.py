@@ -414,6 +414,14 @@ def test_unknown_config_key_is_validation_error(cli_inputs, tmp_path, capsys, ke
     assert f"unrecognized config key: {key}" in err
 
 
+def test_duplicate_config_key_is_validation_error(cli_inputs, tmp_path, capsys):
+    """A second `raw_fit.weight` line used to override the first silently."""
+    text = config_to_text(make_config()) + "raw_fit.weight = 5.0\n"
+    rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=text)
+    assert rc == EXIT_VALIDATION
+    assert "duplicate key raw_fit.weight" in err
+
+
 def test_fit_rate_near_float_max_is_validation_error(cli_inputs, tmp_path, capsys):
     """Finite rates whose denominators overflow gave all-zero probabilities."""
     text = _config_with("raw_fit.weight", "1e308")

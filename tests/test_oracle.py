@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -298,21 +296,3 @@ def test_archive_evaluator_reads_every_site_as_its_float(request, which):
             arch.evaluator(SoftwareFaultSite(lid, t, 0, width))
     with pytest.raises(KeyError):
         arch.evaluator(SoftwareFaultSite(99, FFType.WEIGHT, 0, 0))
-
-
-def test_loaded_archive_is_read_only(dense_oracle, tmp_path):
-    """Neither the arrays, the mapping nor the attribute can change, so the
-    per-class lists the evaluator reads cannot go stale."""
-    _, arch = dense_oracle
-    arch.save(tmp_path / "a.npz")
-    loaded = SiteArchive.load(tmp_path / "a.npz")
-    key = next(iter(loaded.entries))
-    site = SoftwareFaultSite(*key, 0, 0)
-    before = loaded.evaluator(site)
-    with pytest.raises(ValueError, match="read-only"):
-        loaded.entries[key][0, 0] = before + 1.0
-    with pytest.raises(TypeError):
-        loaded.entries[key] = np.zeros_like(loaded.entries[key])
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        loaded.entries = {}
-    assert loaded.evaluator(site) == before == float(arch.entries[key][0, 0])
