@@ -30,6 +30,7 @@ lists (`profile.fault_sites`) and map the evaluator over them into one array
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,8 +80,12 @@ class PoCCriteria:
     var_thresh: float = 1e-2
 
     def __post_init__(self):
-        if self.window < 1 or self.mean_tol <= 0 or self.var_thresh <= 0:
-            raise ValueError("invalid convergence criteria")
+        tols = (self.mean_tol, self.var_thresh)
+        if self.window < 1 or not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError(
+                f"invalid convergence criteria: window {self.window}, mean tolerance "
+                f"{self.mean_tol}, variance threshold {self.var_thresh}"
+            )
 
 
 @dataclass
@@ -362,7 +367,9 @@ def estimate_ra(
     if uf is not None and sa is None:
         raise ValueError("utilization weighting needs the fault-free accuracy")
     _check_coverage(pdf, table)
-    limit = samples if samples is not None else max_samples
+    name, limit = ("samples", samples) if samples is not None else ("max_samples", max_samples)
+    if limit < 1:
+        raise ValueError(f"{name} = {limit} must be at least 1")
     rng = np.random.default_rng(seed)
     site_pdf = pdf.site_pdf()
     if uf is not None:
@@ -414,6 +421,8 @@ def ra_sw_baseline(
 ) -> RAEstimate:
     """The software-injection baseline: uniform averaging of A(j) over
     weight/activation sites only (no control sites, no site weighting)."""
+    if samples < 1:
+        raise ValueError(f"samples = {samples} must be at least 1")
     cols = _units_from_table(table, set(DATAPATH_TYPES))
     pdf = _make_pdf(cols, np.asarray(cols["members"], dtype=np.float64), exact=True)
     rng = np.random.default_rng(seed)

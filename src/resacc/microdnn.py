@@ -162,7 +162,11 @@ class FaultMode(enum.Enum):
 class FaultSpec:
     site: SoftwareFaultSite
     mode: FaultMode
-    reuse: int = 1  # only meaningful for REUSE_BOUNDED
+    reuse: int = 1  # uses that see the flip; only meaningful for REUSE_BOUNDED
+
+    def __post_init__(self):
+        if self.mode is FaultMode.REUSE_BOUNDED and self.reuse < 1:
+            raise ValueError(f"reuse factor {self.reuse} of {self.site} is below 1")
 
 
 class FaultSemantics(enum.Enum):
@@ -202,7 +206,7 @@ def _window(var_index: int, total_uses: int, fault: FaultSpec) -> tuple[int, int
         return 0, 0
     if fault.mode is FaultMode.FULL_CORRUPTION:
         return 0, total_uses
-    r = min(max(fault.reuse, 1), total_uses)
+    r = min(fault.reuse, total_uses)
     start = var_index % (total_uses - r + 1)
     return start, r
 

@@ -35,14 +35,6 @@ from .profile import (
 Accuracies = Callable[[SoftwareFaultSite], float]
 
 
-def layer_prob(profile: NetworkProfile, layer_id: int) -> float:
-    """Share of execution time (cells) owned by a layer; control pseudo-layer
-    spans the full run and gets 1."""
-    if layer_id == CONTROL_LAYER:
-        return 1.0
-    return profile.layer(layer_id).mac_count / profile.total_macs
-
-
 def type_prob(config: AcceleratorConfig, t: FFType) -> float:
     total = config.total_ffs
     if total <= 0:
@@ -50,28 +42,18 @@ def type_prob(config: AcceleratorConfig, t: FFType) -> float:
     return config.ff_count.get(t, 0) / total
 
 
-def var_prob(profile: NetworkProfile, layer_id: int, t: FFType) -> float:
-    n = profile.var_count(layer_id, t)
-    if n < 1:
-        raise ValueError(f"layer {layer_id} has no variables of type {t.value}")
-    return 1.0 / n
-
-
-def fit_normalization(config: AcceleratorConfig, avf_mode: bool = False) -> float:
-    """Sum over types of TP(t) * rawFIT(t); the denominator of the per-cell
-    fault probability. In AVF mode raw FIT rates are ignored (all 1)."""
+def fit_normalization(config: AcceleratorConfig) -> float:
+    """Sum over types of TP(t) * rawFIT(t): the denominator of the per-cell
+    fault probability, which weights each FF type by its raw FIT rate."""
     total = 0.0
     for t in FFType:
-        w = 1.0 if avf_mode else config.raw_fit.get(t, 0.0)
-        total += type_prob(config, t) * w
+        total += type_prob(config, t) * config.raw_fit.get(t, 0.0)
     if total <= 0.0:
         raise ValueError("all raw FIT rates are zero")
     return total
 
 
-def occupied_mass(
-    profile: NetworkProfile, config: AcceleratorConfig, avf_mode: bool = False
-) -> float:
+def occupied_mass(profile: NetworkProfile, config: AcceleratorConfig) -> float:
     """Fraction of the raw probability mass landing on cells that hold a real
     software variable.
 
@@ -81,61 +63,19 @@ def occupied_mass(
     keeps the site probabilities summing to 1. It equals 1 exactly when every
     layer populates every datapath FF type.
     """
-    norm = fit_normalization(config, avf_mode)
+    norm = fit_normalization(config)
     mass = 0.0
     for layer in profile.layers:
         lp = layer.mac_count / profile.total_macs
         for t in DATAPATH_TYPES:
             if layer.var_count.get(t, 0) >= 1:
-                w = 1.0 if avf_mode else config.raw_fit.get(t, 0.0)
-                mass += lp * type_prob(config, t) * w / norm
+                mass += lp * type_prob(config, t) * config.raw_fit.get(t, 0.0) / norm
     for t in CONTROL_TYPES:
         if profile.control_var_count.get(t, 0) >= 1:
-            w = 1.0 if avf_mode else config.raw_fit.get(t, 0.0)
-            mass += type_prob(config, t) * w / norm
+            mass += type_prob(config, t) * config.raw_fit.get(t, 0.0) / norm
     if mass <= 0.0:
         raise ValueError("no occupied fault sites")
     return mass
-
-
-def cell_fault_prob(
-    config: AcceleratorConfig, t: FFType, cell_count: float, avf_mode: bool = False
-) -> float:
-    """Probability that one specific cell of type t receives the fault."""
-    if cell_count <= 0:
-        raise ValueError("cell_count must be positive")
-    w = 1.0 if avf_mode else config.raw_fit.get(t, 0.0)
-    return w / (cell_count * fit_normalization(config, avf_mode))
-
-
-def site_prob(
-    profile: NetworkProfile,
-    config: AcceleratorConfig,
-    site: SoftwareFaultSite,
-    cell_count: float = 1.0,
-    avf_mode: bool = False,
-) -> float:
-    """Probability of one software fault site. The conceptual cell count
-    cancels algebraically, so any positive value gives the same result."""
-    if not 0 <= site.bit_pos < config.bit_width:
-        raise ValueError(f"bit_pos {site.bit_pos} out of range")
-    n_vars = profile.var_count(site.layer_id, site.var_type)
-    if not 0 <= site.var_index < n_vars:
-        raise ValueError(
-            f"var_index {site.var_index} out of range for "
-            f"(layer {site.layer_id}, {site.var_type.value})"
-        )
-    cells = (
-        cell_count
-        * layer_prob(profile, site.layer_id)
-        * type_prob(config, site.var_type)
-        * var_prob(profile, site.layer_id, site.var_type)
-    )
-    return (
-        cells
-        * cell_fault_prob(config, site.var_type, cell_count, avf_mode)
-        / (config.bit_width * occupied_mass(profile, config, avf_mode))
-    )
 
 
 @dataclass(frozen=True)
@@ -155,8 +95,6 @@ class ProbClass:
 class SiteProbabilityTable:
     classes: list[ProbClass]
     bit_width: int
-    normalization: float  # sum of TP(t) * rawFIT(t)
-    cell_count: float = 1.0  # conceptual M; probabilities do not depend on it
 
     @property
     def total_sites(self) -> int:
@@ -171,15 +109,10 @@ class SiteProbabilityTable:
                 return c
         raise KeyError(f"no class (layer {layer_id}, {var_type.value})")
 
-    def prob(self, site: SoftwareFaultSite) -> float:
-        return self.class_for(site.layer_id, site.var_type).per_var_per_bit_prob
 
-
-def build_table(
-    profile: NetworkProfile, config: AcceleratorConfig, avf_mode: bool = False
-) -> SiteProbabilityTable:
+def build_table(profile: NetworkProfile, config: AcceleratorConfig) -> SiteProbabilityTable:
     """Closed-form per-(layer, type) probabilities; sums to 1 over all sites."""
-    norm = fit_normalization(config, avf_mode) * occupied_mass(profile, config, avf_mode)
+    norm = fit_normalization(config) * occupied_mass(profile, config)
     classes: list[ProbClass] = []
     for layer in profile.layers:
         lp = layer.mac_count / profile.total_macs
@@ -187,21 +120,19 @@ def build_table(
             n = layer.var_count.get(t, 0)
             if n < 1:
                 continue
-            w = 1.0 if avf_mode else config.raw_fit.get(t, 0.0)
+            w = config.raw_fit.get(t, 0.0)
             p = lp * type_prob(config, t) * w / (n * norm * config.bit_width)
             classes.append(ProbClass(layer.layer_id, t, n, p))
     for t in CONTROL_TYPES:
         n = profile.control_var_count.get(t, 0)
         if n < 1:
             continue
-        w = 1.0 if avf_mode else config.raw_fit.get(t, 0.0)
+        w = config.raw_fit.get(t, 0.0)
         p = type_prob(config, t) * w / (n * norm * config.bit_width)
         classes.append(ProbClass(CONTROL_LAYER, t, n, p))
     if not classes:
         raise ValueError("profile yields no fault-site classes")
-    table = SiteProbabilityTable(
-        classes=classes, bit_width=config.bit_width, normalization=norm
-    )
+    table = SiteProbabilityTable(classes=classes, bit_width=config.bit_width)
     total = table.total_prob()
     if not abs(total - 1.0) <= 1e-9:
         # finite rates near the float maximum overflow the denominators

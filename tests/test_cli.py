@@ -148,6 +148,31 @@ def test_estimate_poc_reports_convergence_point(cli_inputs, tmp_path):
     assert int(summary[0][3]) >= 300
 
 
+@pytest.mark.parametrize("command,args,count", [
+    ("estimate", ["--strategy", "is", "--samples", "0"], "samples = 0"),
+    ("estimate", ["--strategy", "is", "--samples", "-3"], "samples = -3"),
+    ("estimate", ["--strategy", "is", "--poc", "--max-samples", "0"], "max_samples = 0"),
+    ("compare", ["--seeds", "0", "--max-samples", "0"], "max_samples = 0"),
+])
+def test_sample_count_below_one_is_validation_error(cli_inputs, tmp_path, capsys,
+                                                    command, args, count):
+    rc = main([command] + _with_eval(cli_inputs, tmp_path) + args)
+    assert rc == EXIT_VALIDATION
+    assert f"validation error: {count} must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_threshold_is_validation_error(cli_inputs, tmp_path, capsys,
+                                                  command, value):
+    extra = ["--strategy", "is", "--poc"] if command == "estimate" else ["--seeds", "0"]
+    rc = main([command] + _with_eval(cli_inputs, tmp_path) + extra + ["--threshold", value])
+    assert rc == EXIT_VALIDATION
+    assert f"mean tolerance {float(value)!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_file_contract_and_medians(cli_inputs, tmp_path):
     rc = main(["compare"] + _with_eval(cli_inputs, tmp_path)
               + ["--seeds", "0,1"])

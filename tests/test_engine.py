@@ -290,7 +290,7 @@ def test_flipped_equals_one_flip_per_bit(fmt):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2),
        st.sampled_from([1 << 8, kernels.IM2COL_BYTES]))
 def test_numpy_conv2d_is_one_blas_product_per_item(seed, stride, pad, chunk_bytes):
-    """The numpy backend's conv2d gives each item what one BLAS product of its
+    """conv2d gives each item what one BLAS product of its
     weights with its own contiguous im2col matrix gives, however the batch is
     chunked."""
     rng = np.random.default_rng(seed)
@@ -302,7 +302,7 @@ def test_numpy_conv2d_is_one_blas_product_per_item(seed, stride, pad, chunk_byte
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     saved, kernels.IM2COL_BYTES = kernels.IM2COL_BYTES, chunk_bytes
     try:
-        got = kernels.conv2d_numpy(x, w, stride, pad)
+        got = kernels.conv2d(x, w, stride, pad)
     finally:
         kernels.IM2COL_BYTES = saved
     for i in range(nb):

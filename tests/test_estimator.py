@@ -4,6 +4,7 @@ failure-rate metrics, and the hardening study."""
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -179,6 +180,11 @@ def test_poc_criteria_validation():
         PoCCriteria(window=0)
     with pytest.raises(ValueError):
         PoCCriteria(mean_tol=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PoCCriteria(mean_tol=bad)
+        with pytest.raises(ValueError):
+            PoCCriteria(var_thresh=bad)
 
 
 # --- estimator core --------------------------------------------------------

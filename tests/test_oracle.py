@@ -72,7 +72,6 @@ def test_single_site_ra_identity():
     table = SiteProbabilityTable(
         classes=[ProbClass(0, FFType.INPUT_ACTIVATION, 1, 1.0)],
         bit_width=1,
-        normalization=1.0,
     )
     res = ra_expected(table, lambda s: 0.2, sa=1.0, uf=lambda lid: 0.3)
     assert res.ra == pytest.approx(0.3 * 0.2 + 0.7 * 1.0, rel=1e-15)

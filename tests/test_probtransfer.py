@@ -12,14 +12,10 @@ from resacc.microdnn import FC, MicroNetwork
 from resacc.probtransfer import (
     RAResult,
     build_table,
-    cell_fault_prob,
     fit_normalization,
-    layer_prob,
     occupied_mass,
     ra_expected,
-    site_prob,
     type_prob,
-    var_prob,
 )
 from resacc.profile import (
     CONTROL_LAYER,
@@ -30,7 +26,7 @@ from resacc.profile import (
     SoftwareFaultSite,
     derive_profile,
 )
-from resacc.toynets import make_config, make_dense_toy, make_skewed_toy
+from resacc.toynets import make_config, make_dense_toy, make_pool_toy, make_skewed_toy
 
 
 def _profile(mac_counts, var_counts, control=None):
@@ -47,6 +43,61 @@ def _config(ff_count, raw_fit=None, fmt=NumericFormat.FP32, reuse=None):
         raw_fit=raw_fit or {t: 600.0 for t in ff_count},
         numeric_format=fmt,
         reuse=reuse or {t: 1 for t in FFType},
+    )
+
+
+# --- per-site reference ---------------------------------------------------
+# The probability of one site, stated factor by factor. `build_table` states
+# the same product once per (layer, type) class; these check it.
+
+def layer_prob(profile: NetworkProfile, layer_id: int) -> float:
+    """Share of execution time (cells) owned by a layer; control pseudo-layer
+    spans the full run and gets 1."""
+    if layer_id == CONTROL_LAYER:
+        return 1.0
+    return profile.layer(layer_id).mac_count / profile.total_macs
+
+
+def var_prob(profile: NetworkProfile, layer_id: int, t: FFType) -> float:
+    n = profile.var_count(layer_id, t)
+    if n < 1:
+        raise ValueError(f"layer {layer_id} has no variables of type {t.value}")
+    return 1.0 / n
+
+
+def cell_fault_prob(config: AcceleratorConfig, t: FFType, cell_count: float) -> float:
+    """Probability that one specific cell of type t receives the fault."""
+    if cell_count <= 0:
+        raise ValueError("cell_count must be positive")
+    return config.raw_fit.get(t, 0.0) / (cell_count * fit_normalization(config))
+
+
+def site_prob(
+    profile: NetworkProfile,
+    config: AcceleratorConfig,
+    site: SoftwareFaultSite,
+    cell_count: float = 1.0,
+) -> float:
+    """Probability of one software fault site. The conceptual cell count
+    cancels algebraically, so any positive value gives the same result."""
+    if not 0 <= site.bit_pos < config.bit_width:
+        raise ValueError(f"bit_pos {site.bit_pos} out of range")
+    n_vars = profile.var_count(site.layer_id, site.var_type)
+    if not 0 <= site.var_index < n_vars:
+        raise ValueError(
+            f"var_index {site.var_index} out of range for "
+            f"(layer {site.layer_id}, {site.var_type.value})"
+        )
+    cells = (
+        cell_count
+        * layer_prob(profile, site.layer_id)
+        * type_prob(config, site.var_type)
+        * var_prob(profile, site.layer_id, site.var_type)
+    )
+    return (
+        cells
+        * cell_fault_prob(config, site.var_type, cell_count)
+        / (config.bit_width * occupied_mass(profile, config))
     )
 
 
@@ -95,17 +146,11 @@ class TestFactors:
 
 class TestCellFaultProb:
     def test_uniform_fit_reduces_to_1_over_m(self):
-        config = make_config()
-        for t in FFType:
-            assert cell_fault_prob(config, t, cell_count=1000.0) == pytest.approx(
-                1.0 / 1000.0 * (1.0 / 0.6)
-                * config.raw_fit[t] / 1000.0
-            ) or True  # exact identity checked below
         # uniform raw FIT: every type's per-cell probability is 1/cells
+        config = make_config()
         cells = 12345.0
-        vals = {t: cell_fault_prob(config, t, cells) for t in FFType}
         for t in FFType:
-            assert vals[t] == pytest.approx(1.0 / cells)
+            assert cell_fault_prob(config, t, cells) == pytest.approx(1.0 / cells)
 
     def test_dice_hardened_third(self):
         config = make_config(control_fit=200.0)
@@ -113,14 +158,6 @@ class TestCellFaultProb:
         p_ctl = cell_fault_prob(config, FFType.CONTROL_GLOBAL, cells)
         p_w = cell_fault_prob(config, FFType.WEIGHT, cells)
         assert p_ctl / p_w == pytest.approx(200.0 / 600.0)
-
-    def test_avf_mode_ignores_fit(self):
-        config = make_config(control_fit=200.0)
-        cells = 64.0
-        for t in FFType:
-            assert cell_fault_prob(config, t, cells, avf_mode=True) == pytest.approx(
-                1.0 / cells
-            )
 
 
 class TestSiteProb:
@@ -148,7 +185,7 @@ class TestSiteProb:
         site = SoftwareFaultSite(0, FFType.WEIGHT, 5, 3)
         a = site_prob(prof, config, site, cell_count=1.0)
         b = site_prob(prof, config, site, cell_count=3.7e9)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_ratio_tracks_mac_ratio(self):
         # first vs last layer weight sites differ by ~ the MAC ratio
@@ -169,14 +206,22 @@ class TestSiteProb:
 
 class TestTable:
     def test_matches_site_prob(self):
-        config = make_config()
-        prof = derive_profile(make_dense_toy(), config)
-        table = build_table(prof, config)
-        for c in table.classes:
-            site = SoftwareFaultSite(c.layer_id, c.var_type, 0, 0)
-            assert table.prob(site) == pytest.approx(
-                site_prob(prof, config, site), rel=1e-12
-            )
+        """Every class of every toy, format and hardening-study configuration
+        holds the per-site probability of its first and last site."""
+        for make_net in (make_dense_toy, make_pool_toy, make_skewed_toy):
+            for fmt in (NumericFormat.FP32, NumericFormat.FP16, NumericFormat.INT8):
+                base = make_config(fmt=fmt)
+                prof = derive_profile(make_net(fmt=fmt), base)
+                configs = [base, base.with_raw_fit({t: 200.0 for t in FFType})]
+                configs += [base.with_raw_fit({t: 200.0}) for t in FFType]
+                for config in configs:
+                    table = build_table(prof, config)
+                    for c in table.classes:
+                        for v, b in ((0, 0), (c.var_count - 1, table.bit_width - 1)):
+                            site = SoftwareFaultSite(c.layer_id, c.var_type, v, b)
+                            assert c.per_var_per_bit_prob == pytest.approx(
+                                site_prob(prof, config, site), rel=1e-12, abs=0.0
+                            )
 
     def test_normalization(self):
         config = make_config()
@@ -295,5 +340,5 @@ class TestNormalizationProperty:
             if c_s.layer_id == CONTROL_LAYER:
                 continue  # control var counts scale with M by design
             assert c_b.per_var_per_bit_prob == pytest.approx(
-                c_s.per_var_per_bit_prob, rel=1e-12
+                c_s.per_var_per_bit_prob, rel=1e-12, abs=0.0
             )
