@@ -271,22 +271,27 @@ def cmd_probs(args, out: RunOutputs) -> int:
     return EXIT_OK
 
 
+def _poc_criteria(args) -> PoCCriteria:
+    """The convergence test of a --poc run. It is built, and --max-samples
+    checked, before the exhaustive oracle runs, so that a bad --threshold or
+    --max-samples costs no oracle run."""
+    criteria = PoCCriteria(mean_tol=args.threshold)
+    if args.max_samples < 1:
+        raise ValidationError(f"max_samples = {args.max_samples} must be at least 1")
+    return criteria
+
+
 def _run_estimate(strategy, seed, table, profile, evaluator, sa, uf, args,
-                  ground_truth=None):
+                  ground_truth=None, criteria=None):
+    """A fixed-budget run, or, given the ground truth and ``criteria``, a
+    run to the point of convergence."""
     pdf = build_pdf(strategy, table, profile, sa=sa)
-    if args.poc:
-        if ground_truth is None:
-            raise ValidationError("--poc needs a computable exhaustive ground truth")
-        crit = PoCCriteria(mean_tol=args.threshold)
+    if criteria is not None:
         return estimate_ra(
-            pdf, table, evaluator, criteria=crit, ground_truth=ground_truth,
+            pdf, table, evaluator, criteria=criteria, ground_truth=ground_truth,
             seed=seed, sa=sa, uf=uf, max_samples=args.max_samples,
         )
-    return estimate_ra(
-        pdf, table, evaluator, samples=args.samples, seed=seed, sa=sa, uf=uf,
-        ground_truth=ground_truth,
-        criteria=PoCCriteria(mean_tol=args.threshold) if ground_truth else None,
-    )
+    return estimate_ra(pdf, table, evaluator, samples=args.samples, seed=seed, sa=sa, uf=uf)
 
 
 def _trace_rows(est):
@@ -310,8 +315,9 @@ def cmd_estimate(args, out: RunOutputs) -> int:
     uf = _uf_map(args, profile)
     semantics = _semantics(args)
     spec_hash = _hash_for(args, need_evalset=True)
-    ground_truth = None
+    ground_truth = criteria = None
     if args.poc:
+        criteria = _poc_criteria(args)
         uf_dict = {l.layer_id: l.utilization for l in profile.layers} if uf else None
         result, archive = exhaustive_ra(
             profile, config, net, evalset, semantics, uf=uf_dict
@@ -322,7 +328,7 @@ def cmd_estimate(args, out: RunOutputs) -> int:
         evaluator = live_evaluator(net, evalset, profile, config, semantics)
     strategy = SamplingStrategy(args.strategy)
     est = _run_estimate(
-        strategy, args.seed, table, profile, evaluator, sa, uf, args, ground_truth
+        strategy, args.seed, table, profile, evaluator, sa, uf, args, ground_truth, criteria
     )
     out.write_csv(
         f"trace_{strategy.value}_seed{args.seed}.csv",
@@ -354,16 +360,17 @@ def cmd_compare(args, out: RunOutputs) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     if not seeds:
         raise UsageError("--seeds must name at least one seed")
+    strategies = [SamplingStrategy(s) for s in args.strategies.split(",")]
+    criteria = _poc_criteria(args)
     uf_dict = {l.layer_id: l.utilization for l in profile.layers} if uf else None
     result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf_dict)
-    strategies = [SamplingStrategy(s) for s in args.strategies.split(",")]
     summary = []
     per_strategy: dict[str, list] = {s.value: [] for s in strategies}
     for strategy in strategies:
         for seed in seeds:
             est = _run_estimate(
                 strategy, seed, table, profile, archive.evaluator, sa, uf, args,
-                ground_truth=result.ra,
+                ground_truth=result.ra, criteria=criteria,
             )
             out.write_csv(
                 f"trace_{strategy.value}_seed{seed}.csv",

@@ -14,8 +14,9 @@ to the storage format happens at layer boundaries, outside these kernels.
 The element kernels (``conv2d_elem``, ``fc_elem``) define the order in which
 a faulty output element is summed: sequentially from 0.0 over the fan-in, in
 (channel, row, column) order. ``dot_sequential`` sums many such elements for
-a batch of flips at once, in that order, with one ``np.add.accumulate`` and
-no loop over the fan-in.
+a batch of flips at once, in that order: its terms are laid out fan-in-major,
+so one ``np.add.reduce`` over the leading axis adds them row by row, with no
+loop over the fan-in.
 """
 
 from __future__ import annotations
@@ -98,29 +99,43 @@ def fc_elem(x, w, r):
     return acc
 
 
+def _sum_rows(a):
+    """a[0] + a[1] + ... + a[-1], added in that order, elementwise.
+
+    ``add.reduce`` over the leading axis of a C-ordered array adds row by row,
+    vectorised along the rows; over a single column it would add pairwise,
+    so that case takes ``add.accumulate``, a scalar chain.
+    """
+    rows = np.ascontiguousarray(a).reshape(len(a), -1)
+    if rows.shape[1] == 1:
+        return np.add.accumulate(rows, axis=0)[-1].reshape(a.shape[1:])
+    return np.add.reduce(rows, axis=0).reshape(a.shape[1:])
+
+
 def dot_sequential(terms, hit_k, faulty):
     """Recomputed output elements for a batch of flips, each summed from 0.0
     in fan-in order, the order of ``conv2d_elem`` and ``fc_elem``.
 
-    ``terms`` (n, E, K): the clean products of E elements over n inputs, in
-    fan-in order, 0.0 where the element kernels skip a term (padding).
-    ``hit_k`` (E,): the fan-in position at which each element reads the
-    flipped value. ``faulty`` (F, n, E): the product at that position under
-    each of F flips. Returns (F, n, E).
+    ``terms`` (K, E, n), fan-in-major: the clean products of E elements over
+    n inputs, in fan-in order, 0.0 where the element kernels skip a term
+    (padding). ``hit_k`` (E,): the fan-in position at which each element
+    reads the flipped value. ``faulty`` (E, F, n): the product at that
+    position under each of F flips. Returns (E, F, n).
 
     The terms before the first flipped one are the same under every flip and
-    are summed once into a head; the rest of each sum is one ``add.accumulate``
-    over (head, terms from there on, the flipped product in its place).
-    ``accumulate`` adds term by term in order, as the element kernels do
-    (``np.sum`` and ``add.reduce`` add pairwise and differ in the last bits).
-    A sum started from +0.0 is never -0.0, so adding 0.0 for a skipped term
-    leaves it unchanged; adding the head to 0.0 gives it the sign of zero a
-    sum from 0.0 has, since ``accumulate`` starts from the first term.
+    are summed once into a head; the rest of each sum adds, row by row, a
+    (1 + K - k0, E, F, n) tail: the head, then the terms from there on with
+    the flipped product in its place (``_sum_rows``). Both add term by term
+    in order, as the element kernels do (``np.sum`` adds pairwise and
+    differs in the last bits). A sum started from +0.0 is never -0.0, so
+    adding 0.0 for a skipped term leaves it unchanged; adding the head to
+    0.0 gives it the sign of zero a sum from 0.0 has, since ``_sum_rows``
+    starts from the first term.
     """
-    n, n_elems, n_terms = terms.shape
+    n_terms, n_elems, n = terms.shape
     k0 = int(hit_k.min())
-    tail = np.empty((len(faulty), n, n_elems, 1 + n_terms - k0))
-    tail[..., 0] = 0.0 + np.add.accumulate(terms[:, :, :k0], axis=2)[:, :, -1] if k0 else 0.0
-    tail[..., 1:] = terms[:, :, k0:]
-    tail[:, :, np.arange(n_elems), hit_k - k0 + 1] = faulty
-    return np.add.accumulate(tail, axis=3, out=tail)[..., -1]
+    tail = np.empty((1 + n_terms - k0, n_elems, faulty.shape[1], n))
+    tail[0] = (0.0 + _sum_rows(terms[:k0]))[:, None, :] if k0 else 0.0
+    tail[1:] = terms[k0:, :, None, :]
+    tail[hit_k - k0 + 1, np.arange(n_elems)] = faulty
+    return _sum_rows(tail)

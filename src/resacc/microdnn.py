@@ -12,23 +12,29 @@ three corruption semantics:
   elsewhere. This models the bounded residency of a value in one FF.
 * Crash — no inference result at all (global-control faults).
 
-Faults are evaluated one variable at a time, over every requested bit of it
-and every input of the evalset in one batch (:func:`faulty_predictions`).
-The clean activations of the whole evalset are computed once
-(:class:`ActivationCache`). The faulted layer's output starts as a copy of
-its cached clean output; only the elements that read the flipped value
-inside its reuse window are recomputed, and the bits x inputs batch then
-runs through the downstream layers as one forward. A batch too large for
-BATCH_BYTES goes in chunks of inputs, and a recompute in chunks of output
-elements whose (bits, inputs, elements, fan-in + 1) float64 sums fit in
-BATCH_BYTES; neither changes a result.
+Faults are evaluated a chunk of variables of one (layer, type) class at a
+time, over every requested bit of each and every input of the evalset in
+one batch (:func:`prediction_batches`, :func:`faulty_predictions`). The
+clean activations of the whole evalset, and the weights in float64, are
+computed once (:class:`ActivationCache`). The faulted layer's output starts
+as a copy of its cached clean output; only the elements that read a flipped
+value inside its reuse window are recomputed, those of all the chunk's
+variables in one sum, and the vars x bits x inputs batch then runs through
+the downstream layers as one forward. Local-control variables are grouped
+by the layer their hashed weight lands in. A chunk holds as many variables
+as keep its widest float64 activation within BATCH_BYTES; a single variable
+too large for that goes in chunks of inputs, and a recompute in chunks of
+output elements whose (elements, bits, inputs, fan-in + 1) float64 sums fit
+in BATCH_BYTES. No chunking changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
 ``kernels.fc_elem``; every other element is the cached clean value, which
 the whole-layer kernels produce. The batched kernels give every batch item
 the bits they give it alone, so a faulty inference does not depend on what
-else is in its batch. The shared network and the cache are never mutated.
+else is in its batch. FP16 ReLU works on the bit patterns and FP16 max-pool
+in float64, since numpy does FP16 arithmetic in software; both give the
+FP16 results. The shared network and the cache are never mutated.
 """
 
 from __future__ import annotations
@@ -200,15 +206,14 @@ def make_fault(
     return FaultSpec(site, FaultMode.REUSE_BOUNDED, reuse=config.reuse[site.var_type])
 
 
-def _window(var_index: int, total_uses: int, fault: FaultSpec) -> tuple[int, int]:
-    """(start, count) of the uses that see the flipped value."""
-    if total_uses < 1:
-        return 0, 0
+def _window(var_index, total_uses, fault: FaultSpec):
+    """(start, count) of the uses that see the flipped value; elementwise
+    over arrays of variables and their use counts."""
     if fault.mode is FaultMode.FULL_CORRUPTION:
-        return 0, total_uses
-    r = min(fault.reuse, total_uses)
-    start = var_index % (total_uses - r + 1)
-    return start, r
+        r = total_uses
+    else:
+        r = np.minimum(fault.reuse, total_uses)
+    return var_index % (total_uses - r + 1), r
 
 
 # --- forward pass ----------------------------------------------------------
@@ -223,27 +228,40 @@ def _cast(a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
         return a.astype(fmt.dtype)
 
 
-def _apply_layer(layer: Layer, a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
-    """One layer over a batch: ``a`` has a leading batch axis."""
+def _apply_layer(
+    layer: Layer, a: np.ndarray, fmt: NumericFormat, w64: np.ndarray | None = None
+) -> np.ndarray:
+    """One layer over a batch: ``a`` has a leading batch axis. ``w64`` is the
+    layer's weight in float64, converted here when not given."""
     if isinstance(layer, Conv2D):
-        out = kernels.conv2d(
-            a.astype(np.float64), layer.weight.astype(np.float64), layer.stride, layer.pad
-        )
-        return _cast(out, fmt)
+        w64 = layer.weight.astype(np.float64) if w64 is None else w64
+        return _cast(kernels.conv2d(a.astype(np.float64), w64, layer.stride, layer.pad), fmt)
     if isinstance(layer, FC):
-        return _cast(kernels.fc(a.astype(np.float64), layer.weight.astype(np.float64)), fmt)
+        w64 = layer.weight.astype(np.float64) if w64 is None else w64
+        return _cast(kernels.fc(a.astype(np.float64), w64), fmt)
     if isinstance(layer, ReLU):
+        if fmt is NumericFormat.FP16:
+            # On the bit patterns, as numpy's FP16 arithmetic is software:
+            # b - 0x8001 wraps the negatives from the one after -0 down to
+            # -Inf (0x8001-0xFC00) onto 0-0x7BFF, and those become +0; -0 and
+            # the NaNs stay, as np.maximum leaves them.
+            b = a.view(np.uint16)
+            return (b * ((b - np.uint16(0x8001)) >= 0x7C00)).view(np.float16)
         return np.maximum(a, a.dtype.type(0))
     if isinstance(layer, MaxPool2D):
-        # A maximum is one of its inputs, so it needs no float64 copy.
+        # A maximum is one of its inputs, so float64 holds it exactly; FP16
+        # goes through float64 because numpy's FP16 arithmetic is software.
+        # Multiplying by 1.0 quiets signalling NaNs: float64 fmax ignores
+        # those or not by memory layout, FP16 fmax always ignores them.
+        if fmt is NumericFormat.FP16:
+            a = np.multiply(a, 1.0, dtype=np.float64)
         return _cast(kernels.maxpool2d(a, layer.kernel, layer.stride), fmt)
     if isinstance(layer, Flatten):
         return a.reshape(len(a), -1)
     if isinstance(layer, Softmax):
         z = a.reshape(len(a), -1).astype(np.float64)
-        finite = np.isfinite(z)
-        hi = np.where(finite, z, -np.inf).max(axis=1, keepdims=True)
-        hi[~finite.any(axis=1)] = 0.0
+        hi = z.max(axis=1, keepdims=True, where=np.isfinite(z), initial=-np.inf)
+        hi[hi == -np.inf] = 0.0  # no finite value in the row
         e = np.exp(z - hi)
         return _cast(e / e.sum(axis=1, keepdims=True), fmt).reshape(a.shape)
     raise ValueError(f"unsupported layer kind: {type(layer).__name__}")
@@ -257,15 +275,17 @@ def _predict(logits: np.ndarray) -> np.ndarray:
     return np.argmax(z, axis=1)
 
 
-def _layer_outputs(net: MicroNetwork, inputs: np.ndarray):
-    """The batch ``inputs`` in the storage format, then each layer's output."""
+def _layer_outputs(net: MicroNetwork, inputs: np.ndarray, weights64=None):
+    """The batch ``inputs`` in the storage format, then each layer's output;
+    ``weights64`` holds each layer's float64 weight, if given."""
     a = np.asarray(inputs, dtype=net.numeric_format.dtype)
     if a.shape[1:] != tuple(net.input_shape):
         raise ValueError(f"input shape {a.shape[1:]} != {net.input_shape}")
     yield a
     with np.errstate(all="ignore"):
-        for layer in net.layers:
-            a = _apply_layer(layer, a, net.numeric_format)
+        for i, layer in enumerate(net.layers):
+            a = _apply_layer(layer, a, net.numeric_format,
+                             None if weights64 is None else weights64[i])
             yield a
 
 
@@ -293,8 +313,9 @@ def clean_activations(net: MicroNetwork, x: np.ndarray) -> list[np.ndarray]:
 
 CRASHED = -1  # the prediction recorded for an inference the fault crashed
 # Bound, in bytes, on each float64 array of a faulty batch: the widest
-# activation over the batch's inputs, and the recompute's products and sums.
-BATCH_BYTES = 1 << 25
+# activation over the batch's variables, bits and inputs, and the
+# recompute's products and sums.
+BATCH_BYTES = 1 << 20
 
 
 def total_weight_count(net: MicroNetwork) -> int:
@@ -325,158 +346,266 @@ def _flipped(values: np.ndarray, bits: list[int], fmt: NumericFormat) -> np.ndar
     """``values`` with one bit flipped, for each of ``bits``: (F, *shape)."""
     if bits and not (0 <= min(bits) and max(bits) < fmt.width):
         raise ValueError(f"bit positions {bits} out of range for {fmt.value}")
-    masks = np.left_shift(1, bits).astype(fmt.bits_dtype).reshape((-1,) + (1,) * values.ndim)
+    masks = np.array([1 << b for b in bits], dtype=fmt.bits_dtype)
+    masks = masks.reshape((-1,) + (1,) * values.ndim)
     return (values.view(fmt.bits_dtype) ^ masks).view(fmt.dtype)
 
 
-def _conv_terms(layer: Conv2D, x: np.ndarray, o, y, z):
+def _check_vars(vs: np.ndarray, count: int, var_type: FFType) -> None:
+    listed = vs.tolist()
+    if listed and not (0 <= min(listed) and max(listed) < count):
+        raise ValueError(f"var_index out of range for {var_type.value}: [0, {count})")
+
+
+def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's variable and its rank among that variable's elements,
+    for ``count`` elements per variable (an array, or one count for all)."""
+    counts = np.zeros(n_vars, dtype=np.int64) + count
+    return np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None])
+
+
+def _covering(i: np.ndarray, k: int, stride: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and number of the outputs whose window of ``k`` positions, one
+    every ``stride``, covers position ``i``, for each of ``i``; they are
+    consecutive."""
+    d = i[:, None] - np.arange(n_out) * stride
+    hit = (d >= 0) & (d < k)
+    return hit.argmax(axis=1), hit.sum(axis=1)
+
+
+def _conv_terms(layer: Conv2D, w64: np.ndarray, x: np.ndarray, o, y, z):
     """Clean products x * w of conv output elements (o[e], y[e], z[e]) over n
-    inputs, in fan-in order: (n, E, K), 0.0 where the element kernel skips a
+    inputs, fan-in-major: (K, E, n), 0.0 where the element kernel skips a
     padded position; with the fan-in positions' input values in float64
-    (n, E, K) and whether they lie inside the input (E, K)."""
+    (K, E, n) and whether they lie inside the input (K, E)."""
     _, ih, iw = x.shape[1:]
-    _, ic, kh, kw = layer.weight.shape
-    c, ky, kz = (g.reshape(-1) for g in np.indices((ic, kh, kw)))
-    sy = (y * layer.stride - layer.pad)[:, None] + ky
-    sz = (z * layer.stride - layer.pad)[:, None] + kz
+    _, ic, kh, kw = w64.shape
+    c, ky, kz = (g.reshape(-1, 1) for g in np.indices((ic, kh, kw)))
+    sy = y * layer.stride - layer.pad + ky
+    sz = z * layer.stride - layer.pad + kz
     inside = (sy >= 0) & (sy < ih) & (sz >= 0) & (sz < iw)
-    xs = x[:, c, np.clip(sy, 0, ih - 1), np.clip(sz, 0, iw - 1)].astype(np.float64)
-    w64 = layer.weight.astype(np.float64).reshape(len(layer.weight), -1)
-    return np.where(inside, xs * w64[o], 0.0), xs, inside
+    xs = x.transpose(1, 2, 3, 0)[c, np.clip(sy, 0, ih - 1), np.clip(sz, 0, iw - 1)]
+    xs = xs.astype(np.float64)
+    w = w64.reshape(len(w64), -1)[o].T
+    return np.where(inside[:, :, None], xs * w[:, :, None], 0.0), xs, inside
 
 
 def _faulty_outputs(
     layer: Layer,
+    w64: np.ndarray | None,
     x: np.ndarray,
     clean: np.ndarray,
     fmt: NumericFormat,
     var_type: FFType,
-    var_index: int,
+    var_indices: np.ndarray,
     bits: list[int],
     fault: FaultSpec,
 ) -> np.ndarray:
-    """One layer's output over a batch of inputs with one of its variables
-    flipped, for each of ``bits``: (F, *clean.shape).
+    """One layer's output over a batch of inputs with each of its variables
+    ``var_indices`` flipped in turn, for each of ``bits``:
+    (V, F, *clean.shape).
 
-    ``x`` and ``clean`` are the layer's cached clean input and output. The
-    output elements that read the flipped value inside its reuse window are
-    recomputed, summed sequentially (``kernels.dot_sequential``); every other
-    element is copied from ``clean``.
+    ``x`` and ``clean`` are the layer's cached clean input and output, and
+    ``w64`` its weight in float64. The output elements that read a flipped
+    value inside its reuse window are recomputed, those of all the
+    variables in one batch, each summed sequentially
+    (``kernels.dot_sequential``); every other element is copied from
+    ``clean``.
     """
-    n = len(x)
-    out = np.broadcast_to(clean, (len(bits),) + clean.shape).copy()
-    flat = out.reshape(len(bits), n, -1)
+    n, n_bits = len(x), len(bits)
+    vs = np.asarray(var_indices, dtype=np.int64)
+    out = np.empty((len(vs), n_bits) + clean.shape, dtype=clean.dtype)
+    out[...] = clean
+    flat = out.reshape(len(vs), n_bits, n, -1)
+    every = np.arange(len(vs))
     if var_type is FFType.OUTPUT_ACTIVATION:
         values = clean.reshape(n, -1)
-        if var_index >= values.shape[1]:
-            raise ValueError("var_index out of range for output activation")
-        flat[:, :, var_index] = _flipped(values[:, var_index], bits, fmt)
+        _check_vars(vs, values.shape[1], var_type)
+        flat[every, :, :, vs] = _flipped(values[:, vs].T, bits, fmt).swapaxes(0, 1)
         return out
     if var_type is FFType.INPUT_ACTIVATION:
-        xf = _flipped(x.reshape(n, -1)[:, var_index], bits, fmt)  # (F, n)
+        _check_vars(vs, x[0].size, var_type)
+        xf = _flipped(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
         if isinstance(layer, ReLU):
-            flat[:, :, var_index] = np.where(xf < 0, xf.dtype.type(0), xf)
+            flat[every, :, :, vs] = np.where(xf < 0, xf.dtype.type(0), xf)
             return out
         xf64 = xf.astype(np.float64)
 
-    # Each summing branch names the output elements to recompute (elems), the
-    # fan-in position at which each reads the flipped value (hit_k), and
-    # part(sel) -> (terms, faulty) for the elements elems[sel], as
-    # kernels.dot_sequential takes them.
+    # Each branch names the output elements to recompute (elems), the
+    # variable each belongs to (owner), and recompute(sel) -> (E, F, n), the
+    # float64 values of the elements [sel]. A summing branch also names the
+    # fan-in position at which each element reads the flipped value (hit_k).
     if var_type is FFType.WEIGHT:
-        w = getattr(layer, "weight", None)
-        if w is None:
+        if w64 is None:
             raise ValueError("weight fault on a layer without weights")
-        wf = _flipped(w.reshape(-1)[var_index : var_index + 1], bits, fmt).astype(np.float64)
+        _check_vars(vs, w64.size, var_type)
+        wf = _flipped(layer.weight.reshape(-1)[vs], bits, fmt).astype(np.float64)  # (F, V)
         if isinstance(layer, FC):
             # Each FC weight is read once per inference.
-            r, c = divmod(var_index, w.shape[1])
-            elems = np.array([r])
-            hit_k = np.array([c])
-            x64 = x.astype(np.float64)
+            elems, hit_k = np.divmod(vs, w64.shape[1])
+            owner = every
+            xt = x.astype(np.float64).T  # (K, n)
 
-            def part(sel):
-                terms = (x64 * w[r].astype(np.float64))[:, None, :]
-                return terms, wf[:, :, None] * x64[:, c][None, :, None]
+            def recompute(sel):
+                terms = xt[:, None, :] * w64[elems[sel]].T[:, :, None]
+                faulty = wf[:, owner[sel]].T[:, :, None] * xt[hit_k[sel]][:, None, :]
+                return kernels.dot_sequential(terms, hit_k[sel], faulty)
         else:
             assert isinstance(layer, Conv2D)
-            o, c, ky, kz = np.unravel_index(var_index, w.shape)
             _, oh, ow = clean.shape[1:]
-            start, count = _window(var_index, oh * ow, fault)
-            u = np.arange(start, start + count)
-            elems = o * oh * ow + u
-            oc, (y, z) = np.full(count, o), np.divmod(u, ow)
-            k = np.ravel_multi_index((c, ky, kz), w.shape[1:])
-            hit_k = np.full(count, k)
+            o, k = np.divmod(vs, w64[0].size)
+            start, count = _window(vs, oh * ow, fault)
+            owner, rank = _spread(count, len(vs))
+            u = start[owner] + rank
+            oc, hit_k = o[owner], k[owner]
+            elems = oc * oh * ow + u
+            y, z = np.divmod(u, ow)
 
-            def part(sel):
-                terms, xs, inside = _conv_terms(layer, x, oc[sel], y[sel], z[sel])
-                return terms, np.where(inside[:, k], wf[:, :, None] * xs[None, :, :, k], 0.0)
+            def recompute(sel):
+                terms, xs, inside = _conv_terms(layer, w64, x, oc[sel], y[sel], z[sel])
+                at = hit_k[sel], np.arange(terms.shape[1])
+                faulty = np.where(inside[at][:, None, None],
+                                  wf[:, owner[sel]].T[:, :, None] * xs[at][:, None, :], 0.0)
+                return kernels.dot_sequential(terms, hit_k[sel], faulty)
     else:
         assert var_type is FFType.INPUT_ACTIVATION
         if isinstance(layer, FC):
-            start, count = _window(var_index, layer.weight.shape[0], fault)
-            elems = np.arange(start, start + count)
-            hit_k = np.full(count, var_index)
-            x64 = x.astype(np.float64)
+            start, count = _window(vs, w64.shape[0], fault)
+            owner, rank = _spread(count, len(vs))
+            elems = start[owner] + rank
+            hit_k = vs[owner]
+            xt = x.astype(np.float64).T  # (K, n)
 
-            def part(sel):
-                w64 = layer.weight[elems[sel]].astype(np.float64)
-                return x64[:, None, :] * w64[None], xf64[:, :, None] * w64[:, var_index]
+            def recompute(sel):
+                w = w64[elems[sel]]
+                faulty = xf64[owner[sel]] * w[np.arange(len(w)), hit_k[sel]][:, None, None]
+                return kernels.dot_sequential(xt[:, None, :] * w.T[:, :, None], hit_k[sel], faulty)
         elif isinstance(layer, Conv2D):
-            c, iy, iz = np.unravel_index(var_index, x.shape[1:])
-            n_oc, _, kh, kw = layer.weight.shape
+            c, iy, iz = np.unravel_index(vs, x.shape[1:])
+            n_oc, _, kh, kw = w64.shape
             _, oh, ow = clean.shape[1:]
-            # Output positions whose receptive field covers (iy, iz), row-major;
-            # each is used once per output channel.
-            dy = iy - (np.arange(oh) * layer.stride - layer.pad)
-            dz = iz - (np.arange(ow) * layer.stride - layer.pad)
-            py, pz = np.meshgrid(np.flatnonzero((dy >= 0) & (dy < kh)),
-                                 np.flatnonzero((dz >= 0) & (dz < kw)), indexing="ij")
-            py, pz = py.reshape(-1), pz.reshape(-1)
-            start, count = _window(var_index, len(py) * n_oc, fault)
-            p, o = np.divmod(np.arange(start, start + count), n_oc)
-            y, z = py[p], pz[p]
+            s, pad = layer.stride, layer.pad
+            # The output positions whose receptive field covers (iy, iz), in
+            # row-major order; each is used once per output channel.
+            y0, ny = _covering(iy + pad, kh, s, oh)
+            z0, nz = _covering(iz + pad, kw, s, ow)
+            start, count = _window(vs, ny * nz * n_oc, fault)
+            owner, rank = _spread(count, len(vs))
+            p, o = np.divmod(start[owner] + rank, n_oc)
+            py, pz = np.divmod(p, nz[owner])
+            y, z = y0[owner] + py, z0[owner] + pz
             elems = (o * oh + y) * ow + z
-            ky, kz = dy[y], dz[z]
-            hit_k = (c * kh + ky) * kw + kz
-            w_hit = layer.weight[o, c, ky, kz].astype(np.float64)
+            ky, kz = iy[owner] + pad - y * s, iz[owner] + pad - z * s
+            hit_k = (c[owner] * kh + ky) * kw + kz
+            w_hit = w64[o, c[owner], ky, kz]
 
-            def part(sel):
-                terms, _, _ = _conv_terms(layer, x, o[sel], y[sel], z[sel])
-                return terms, xf64[:, :, None] * w_hit[sel]
+            def recompute(sel):
+                terms, _, _ = _conv_terms(layer, w64, x, o[sel], y[sel], z[sel])
+                faulty = xf64[owner[sel]] * w_hit[sel, None, None]
+                return kernels.dot_sequential(terms, hit_k[sel], faulty)
         elif isinstance(layer, MaxPool2D):
-            c, iy, iz = np.unravel_index(var_index, x.shape[1:])
+            c, iy, iz = np.unravel_index(vs, x.shape[1:])
             k, s = layer.kernel, layer.stride
             _, oh, ow = clean.shape[1:]
-            dy = iy - np.arange(oh) * s
-            dz = iz - np.arange(ow) * s
-            wy, wz = np.meshgrid(np.flatnonzero((dy >= 0) & (dy < k)),
-                                 np.flatnonzero((dz >= 0) & (dz < k)), indexing="ij")
-            wy, wz = wy.reshape(-1), wz.reshape(-1)
-            start, count = _window(var_index, len(wy), fault)
-            y, z = wy[start : start + count], wz[start : start + count]
+            y0, ny = _covering(iy, k, s, oh)
+            z0, nz = _covering(iz, k, s, ow)
+            start, count = _window(vs, ny * nz, fault)
+            owner, rank = _spread(count, len(vs))
+            py, pz = np.divmod(start[owner] + rank, nz[owner])
+            y, z = y0[owner] + py, z0[owner] + pz
+            elems = (c[owner] * oh + y) * ow + z
+            hit = (iy[owner] - y * s) * k + iz[owner] - z * s
             ky, kz = (g.reshape(-1) for g in np.indices((k, k)))
-            patches = x[:, c, (y * s)[:, None] + ky, (z * s)[:, None] + kz].astype(np.float64)
-            # C order: numpy's fmax.reduce gives NaN for a signalling NaN (a
-            # flipped exponent can make one) on a contiguous axis, but the
-            # other operand on a strided one; the reference takes the former.
-            # (F, n, E, k*k)
-            patches = np.broadcast_to(patches, (len(bits),) + patches.shape).copy()
-            patches[:, :, np.arange(count), dy[y] * k + dz[z]] = xf64[:, :, None]
-            flat[:, :, (c * oh + y) * ow + z] = _cast(np.fmax.reduce(patches, axis=3), fmt)
-            return out
+            xt = x.transpose(1, 2, 3, 0)
+
+            def recompute(sel):
+                e = np.arange(len(hit[sel]))
+                # C order: numpy's fmax.reduce gives NaN for a signalling NaN
+                # (a flipped exponent can make one) on a contiguous axis, but
+                # the other operand on a strided one; the reference takes the
+                # former. (E, F, n, k*k)
+                patches = np.empty((len(e), n_bits, n, k * k))
+                patches[:] = xt[c[owner[sel], None], (y[sel] * s)[:, None] + ky,
+                                (z[sel] * s)[:, None] + kz].swapaxes(1, 2)[:, None]
+                patches[e, :, :, hit[sel]] = xf64[owner[sel]]
+                return np.fmax.reduce(patches, axis=3)
         else:
             raise ValueError(f"input-activation fault unsupported on {type(layer).__name__}")
-    # Elements go in chunks whose (F, n, E, fan-in + 1) sums stay within
-    # BATCH_BYTES; each element is summed alone, so chunking changes no result.
-    fan_in = layer.weight[0].size
-    step = max(1, BATCH_BYTES // (8 * n * len(bits) * (fan_in + 1)))
+    # Elements go in chunks whose (E, F, n, fan-in + 1) sums, or (E, F, n,
+    # k*k) pool patches, stay within BATCH_BYTES; each element is computed
+    # alone, so chunking changes no result.
+    per_elem = k * k if isinstance(layer, MaxPool2D) else w64[0].size + 1
+    step = max(1, BATCH_BYTES // (8 * n * n_bits * per_elem))
     for i in range(0, len(elems), step):
         sel = slice(i, i + step)
-        terms, faulty = part(sel)
-        flat[:, :, elems[sel]] = _cast(kernels.dot_sequential(terms, hit_k[sel], faulty), fmt)
+        flat[owner[sel], :, :, elems[sel]] = _cast(recompute(sel), fmt)
     return out
+
+
+def prediction_batches(
+    net: MicroNetwork,
+    fault: FaultSpec,
+    profile: NetworkProfile,
+    cache: ActivationCache,
+    bits,
+    var_indices,
+):
+    """Predicted class of every cached input with each of ``var_indices``
+    flipped in turn, for each of ``bits``, a batch of variables at a time:
+    yields (positions, preds), preds an int array (len(positions),
+    len(bits), n_inputs) for the variables ``var_indices[positions]``,
+    CRASHED where the fault crashes the accelerator. The variables are of
+    ``fault.site``'s (layer, type) class and take its mode; the site's
+    ``var_index`` and ``bit_pos`` are not read.
+
+    Each batch recomputes the faulted layer once, from its cached clean
+    output, and runs one downstream forward over vars x bits x inputs.
+    Local-control variables are batched by the layer their hashed weight
+    lands in.
+    """
+    bits = [int(b) for b in bits]
+    vs = np.asarray(var_indices, dtype=np.int64).reshape(-1)
+    n = len(cache.acts[0])
+    if fault.mode is FaultMode.CRASH:
+        if len(vs):
+            yield np.arange(len(vs)), np.full((len(vs), len(bits), n), CRASHED)
+        return
+    var_type = fault.site.var_type
+    if var_type is FFType.CONTROL_LOCAL:
+        targets = np.array([_local_control_target(net, profile, v) for v in vs.tolist()],
+                           dtype=np.int64).reshape(-1, 2)
+        groups = [(lid, np.flatnonzero(targets[:, 0] == lid)) for lid in np.unique(targets[:, 0])]
+        var_type, vs = FFType.WEIGHT, targets[:, 1]
+    elif fault.site.layer_id == CONTROL_LAYER:
+        raise ValueError("control-global sites must carry CRASH mode")
+    else:
+        groups = [(fault.site.layer_id, np.arange(len(vs)))]
+    fmt = net.numeric_format
+    for layer_id, positions in groups:
+        k = profile.layer(int(layer_id)).net_index
+        if k < 0 or k >= len(net.layers):
+            raise ValueError(f"profile layer {layer_id} has no backing network layer")
+        # A batch holds as many variables as keep its widest float64
+        # activation within BATCH_BYTES; a variable too large for that goes in
+        # chunks of inputs. Every kernel treats batch items alone, so chunking
+        # changes no result.
+        rows = max(1, BATCH_BYTES // (8 * max(map(math.prod, net._shapes[k:]))))
+        var_step = max(1, rows // max(1, len(bits) * n))
+        in_step = max(1, rows // max(1, len(bits)))
+        for i in range(0, len(positions), var_step):
+            pos = positions[i : i + var_step]
+            preds = []
+            with np.errstate(all="ignore"):
+                for j in range(0, n, in_step):
+                    a = _faulty_outputs(
+                        net.layers[k], cache.weights64[k], cache.acts[k][j : j + in_step],
+                        cache.acts[k + 1][j : j + in_step], fmt, var_type, vs[pos], bits, fault,
+                    )
+                    a = a.reshape((-1,) + a.shape[3:])
+                    for layer, w64 in zip(net.layers[k + 1 :], cache.weights64[k + 1 :]):
+                        a = _apply_layer(layer, a, fmt, w64)
+                    preds.append(_predict(a).reshape(len(pos), len(bits), -1))
+            yield pos, np.concatenate(preds, axis=2)
 
 
 def faulty_predictions(
@@ -485,48 +614,23 @@ def faulty_predictions(
     profile: NetworkProfile,
     cache: ActivationCache,
     bits,
+    var_indices=None,
 ) -> np.ndarray:
     """Predicted class of every cached input with the fault's variable
     flipped, for each of ``bits``: an int array (len(bits), n_inputs),
     CRASHED where the fault crashes the accelerator. ``fault.site`` names the
     variable; its ``bit_pos`` is not read.
 
-    The faulted layer's output starts from its cached clean output, and the
-    bits x inputs batch then runs through the downstream layers as one
-    forward (in chunks of inputs, for a large evalset).
+    Given ``var_indices``, each of those variables of ``fault.site``'s
+    (layer, type) class is flipped in turn instead, in batches of variables
+    (:func:`prediction_batches`): (len(var_indices), len(bits), n_inputs).
     """
     bits = [int(b) for b in bits]
-    n = len(cache.acts[0])
-    if fault.mode is FaultMode.CRASH:
-        return np.full((len(bits), n), CRASHED)
-    site = fault.site
-    if site.var_type is FFType.CONTROL_LOCAL:
-        layer_id, widx = _local_control_target(net, profile, site.var_index)
-        site = SoftwareFaultSite(layer_id, FFType.WEIGHT, widx, site.bit_pos)
-    if site.layer_id == CONTROL_LAYER:
-        raise ValueError("control-global sites must carry CRASH mode")
-
-    net_index = profile.layer(site.layer_id).net_index
-    if net_index < 0 or net_index >= len(net.layers):
-        raise ValueError(f"profile layer {site.layer_id} has no backing network layer")
-    fmt = net.numeric_format
-    # Inputs go in chunks whose float64 activations stay within BATCH_BYTES;
-    # every kernel treats batch items alone, so chunking changes no result.
-    widest = max(map(math.prod, net._shapes[net_index:]))
-    step = max(1, BATCH_BYTES // (8 * len(bits) * widest))
-    preds = []
-    with np.errstate(all="ignore"):
-        for i in range(0, n, step):
-            a = _faulty_outputs(
-                net.layers[net_index], cache.acts[net_index][i : i + step],
-                cache.acts[net_index + 1][i : i + step], fmt,
-                site.var_type, site.var_index, bits, fault,
-            )
-            a = a.reshape((-1,) + a.shape[2:])
-            for layer in net.layers[net_index + 1 :]:
-                a = _apply_layer(layer, a, fmt)
-            preds.append(_predict(a).reshape(len(bits), -1))
-    return np.concatenate(preds, axis=1)
+    vs = [fault.site.var_index] if var_indices is None else var_indices
+    preds = np.empty((len(vs), len(bits), len(cache.acts[0])), dtype=np.intp)
+    for pos, p in prediction_batches(net, fault, profile, cache, bits, vs):
+        preds[pos] = p
+    return preds[0] if var_indices is None else preds
 
 
 # --- evaluation ------------------------------------------------------------
@@ -550,10 +654,15 @@ class EvalSet:
 class ActivationCache:
     """Clean activations of a whole evalset, shared across fault evaluations:
     ``acts[i]`` is the input of layer i stacked over the inputs,
-    (n_inputs, *shape), and ``acts[-1]`` the network output."""
+    (n_inputs, *shape), and ``acts[-1]`` the network output. ``weights64[i]``
+    is layer i's weight in float64, None for a layer without one."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
-        self.acts = list(_layer_outputs(net, evalset.inputs))
+        self.weights64 = [
+            layer.weight.astype(np.float64) if isinstance(layer, (Conv2D, FC)) else None
+            for layer in net.layers
+        ]
+        self.acts = list(_layer_outputs(net, evalset.inputs, self.weights64))
 
 
 def bit_accuracies(

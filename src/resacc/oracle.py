@@ -20,8 +20,8 @@ from .microdnn import (
     FaultSemantics,
     MicroNetwork,
     accuracy,
-    bit_accuracies,
     make_fault,
+    prediction_batches,
 )
 from .probtransfer import RAResult, SiteProbabilityTable, build_table, ra_from_accuracies
 from .profile import (
@@ -93,9 +93,11 @@ def exhaustive_ra(
 ) -> tuple[RAResult, SiteArchive]:
     """Evaluate A(j) for every fault site and return the exact RA.
 
-    Each variable is evaluated over all its bits in one batch; `progress`,
-    when given, is called as progress(sites_done, sites_total) after each.
-    Crash classes cost no inference (their accuracy is 0 by definition).
+    Each class is evaluated a chunk of variables at a time, over all their
+    bits in one batch (`microdnn.prediction_batches`); `progress`, when
+    given, is called as progress(sites_done, sites_total) after each chunk,
+    with `sites_done` strictly increasing up to `sites_total`. Crash classes
+    cost no inference (their accuracy is 0 by definition).
     Raises ScaleGuardExceeded when sites x evalset would exceed
     `max_inferences`.
     """
@@ -119,17 +121,16 @@ def exhaustive_ra(
     done = 0
     for c in table.classes:
         arr = np.zeros((c.var_count, table.bit_width), dtype=np.float64)
-        if c in crash:
-            entries[(c.layer_id, c.var_type)] = arr
+        entries[(c.layer_id, c.var_type)] = arr
+        if c in crash or c.var_count == 0:
             continue
-        for v in range(c.var_count):
-            site = SoftwareFaultSite(c.layer_id, c.var_type, v, 0)
-            fault = make_fault(site, config, semantics)
-            arr[v] = bit_accuracies(net, evalset, fault, profile, cache, bits)
-            done += table.bit_width
+        fault = make_fault(SoftwareFaultSite(c.layer_id, c.var_type, 0, 0), config, semantics)
+        batches = prediction_batches(net, fault, profile, cache, bits, np.arange(c.var_count))
+        for positions, preds in batches:
+            arr[positions] = np.count_nonzero(preds == evalset.labels, axis=2) / evalset.size
+            done += len(positions) * table.bit_width
             if progress is not None:
                 progress(done, n_eval_sites)
-        entries[(c.layer_id, c.var_type)] = arr
     archive = SiteArchive(entries=entries, sa=sa, semantics=semantics)
     uf_fn = None if uf is None else (lambda lid: uf.get(lid, 1.0))
     accs = [entries[(c.layer_id, c.var_type)] for c in table.classes]

@@ -173,6 +173,26 @@ def test_non_finite_threshold_is_validation_error(cli_inputs, tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command,args,message", [
+    ("estimate", ["--strategy", "is", "--poc", "--max-samples", "0"],
+     "max_samples = 0 must be at least 1"),
+    ("estimate", ["--strategy", "is", "--poc", "--threshold", "nan"], "mean tolerance nan"),
+    ("compare", ["--seeds", "0", "--max-samples", "-1"], "max_samples = -1 must be at least 1"),
+    ("compare", ["--seeds", "0", "--threshold", "-0.1"], "mean tolerance -0.1"),
+    ("compare", ["--seeds", "0", "--strategies", "is,bogus"], "'bogus'"),
+])
+def test_poc_arguments_are_checked_before_the_oracle(cli_inputs, tmp_path, capsys, monkeypatch,
+                                                     command, args, message):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the exhaustive oracle ran before the arguments were checked")
+
+    monkeypatch.setattr("resacc.cli.exhaustive_ra", no_oracle)
+    rc = main([command] + _with_eval(cli_inputs, tmp_path) + args)
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare_file_contract_and_medians(cli_inputs, tmp_path):
     rc = main(["compare"] + _with_eval(cli_inputs, tmp_path)
               + ["--seeds", "0,1"])

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference_engine import CRASH, reference_accuracy, reference_infer
+from reference_engine import _apply_layer as reference_apply_layer
 from resacc import kernels, microdnn
 from resacc.formats import NumericFormat, flip_bit_array
 from resacc.microdnn import (
@@ -243,8 +244,9 @@ def test_dot_sequential_sums_in_fan_in_order(seed, hits):
     faulty = rng.normal(size=(n_flips, n, n_elems)) * 10.0 ** rng.integers(-3, 4)
     special = rng.random(faulty.shape) < 0.3
     faulty[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], special.sum())
-    got = kernels.dot_sequential(terms, hit_k, faulty)
-    assert got.shape == faulty.shape
+    # dot_sequential takes terms fan-in-major (K, E, n) and faulty (E, F, n).
+    got = kernels.dot_sequential(terms.transpose(2, 1, 0), hit_k, faulty.transpose(2, 0, 1))
+    assert got.shape == (n_elems, n_flips, n)
     for f in range(n_flips):
         for i in range(n):
             for e in range(n_elems):
@@ -255,15 +257,35 @@ def test_dot_sequential_sums_in_fan_in_order(seed, hits):
                     elif terms[i, e, k] != 0.0:
                         acc += terms[i, e, k]
                 if np.isnan(acc):
-                    assert np.isnan(got[f, i, e])
+                    assert np.isnan(got[e, f, i])
                 else:
-                    assert got[f, i, e] == acc and np.signbit(got[f, i, e]) == np.signbit(acc)
+                    assert got[e, f, i] == acc and np.signbit(got[e, f, i]) == np.signbit(acc)
 
 
 def test_dot_sequential_zero_sum_is_positive_zero():
-    terms = np.full((2, 3, 5), -0.0)
-    got = kernels.dot_sequential(terms, np.array([4, 2, 1]), np.full((2, 2, 3), -0.0))
+    terms = np.full((5, 3, 2), -0.0)
+    got = kernels.dot_sequential(terms, np.array([4, 2, 1]), np.full((3, 2, 2), -0.0))
     assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [2, 3, 17, 128, 600])
+def test_sum_rows_adds_in_row_order(columns, n_rows):
+    """The row sum under dot_sequential adds its rows one after another, as
+    a Python loop does, however few the columns: a single column is where
+    add.reduce would add pairwise."""
+    rng = np.random.default_rng(columns * 1000 + n_rows)
+    for _ in range(20):
+        a = rng.normal(size=(n_rows, columns)) * 10.0 ** rng.integers(-8, 9, size=(n_rows, 1))
+        want = a[0].copy()
+        for row in a[1:]:
+            want = want + row
+        assert np.array_equal(kernels._sum_rows(a), want)
+        # the same terms as E = ``columns`` elements of one input under one
+        # flip, whose flipped product at position 0 is the clean one
+        got = kernels.dot_sequential(a[:, :, None], np.zeros(columns, dtype=np.int64),
+                                     a[0][:, None, None])
+        assert np.array_equal(got[:, 0, 0], 0.0 + want)
 
 
 @pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
@@ -353,3 +375,151 @@ def test_fully_corrupted_fc_input_stays_within_batch_bytes(monkeypatch, n_bits):
     # Unchunked over elements, the products of one input chunk take up to
     # 16 x 128 x 256 x 8 B = 4 MiB.
     assert peak < 4 * microdnn.BATCH_BYTES, peak
+
+
+# --- batches of variables ------------------------------------------------------
+
+def _overlap_toy(fmt):
+    """A padded conv and an overlapping max-pool: inputs near the border
+    are read by fewer outputs, so the variables of a class have windows of
+    different sizes and starts."""
+    rng = np.random.default_rng(12)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (2, 1, 3, 3), fmt), stride=1, pad=1), ReLU(),
+        MaxPool2D(kernel=3, stride=1), Flatten(), FC(_weights(rng, (3, 32), fmt)), Softmax(),
+    ], (1, 6, 6), fmt)
+
+
+@pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
+@pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
+@pytest.mark.parametrize("toy", ["dense", "pool", "skew", "overlap"])
+def test_batches_of_variables_equal_one_variable_at_a_time(monkeypatch, toy, fmt, semantics):
+    """A class evaluated in batches of variables gives, bit for bit, the
+    predictions of each variable evaluated alone. Small BATCH_BYTES values
+    split the classes into batches of several variables, and single
+    variables into chunks of inputs and of recomputed elements; the test
+    checks that each of these boundaries occurs."""
+    net = _overlap_toy(fmt) if toy == "overlap" else TOYS[toy](fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 4, seed=6)
+    classes, bit_width = _classes(profile, config, semantics)
+    bits = range(bit_width)
+    cache = ActivationCache(net, evalset)
+
+    def fault(c, v):
+        return make_fault(SoftwareFaultSite(c.layer_id, c.var_type, v, 0), config, semantics)
+
+    alone = {c: np.array([faulty_predictions(net, fault(c, v), profile, cache, bits)
+                          for v in range(c.var_count)]) for c in classes}
+
+    seen = set()
+    sums = []
+    faulty_outputs, dot_sequential = microdnn._faulty_outputs, kernels.dot_sequential
+
+    def spy_outputs(layer, w64, x, clean, fmt, var_type, var_indices, bits, fault):
+        sums.append(0)
+        out = faulty_outputs(layer, w64, x, clean, fmt, var_type, var_indices, bits, fault)
+        if 1 < len(var_indices) < c.var_count:
+            seen.add("variables")
+        if len(x) < evalset.size:
+            seen.add("inputs")
+        if sums[-1] > 1:
+            seen.add("elements")
+        return out
+
+    def spy_sum(*args):
+        sums[-1] += 1
+        return dot_sequential(*args)
+
+    monkeypatch.setattr(microdnn, "_faulty_outputs", spy_outputs)
+    monkeypatch.setattr(kernels, "dot_sequential", spy_sum)
+    for batch_bytes in (1 << 9, 1 << 13, 1 << 17):
+        monkeypatch.setattr(microdnn, "BATCH_BYTES", batch_bytes)
+        for c in classes:
+            got = faulty_predictions(net, fault(c, 0), profile, cache, bits,
+                                     np.arange(c.var_count))
+            assert np.array_equal(got, alone[c]), (batch_bytes, c)
+    assert seen == {"variables", "inputs", "elements"}
+
+
+def test_oracle_progress_rises_to_the_total(monkeypatch):
+    """``progress`` is called once per batch with a strictly rising count of
+    sites done that ends at the total; a caller may divide by the step."""
+    fmt = NumericFormat.FP16
+    net = make_pool_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 5, seed=2)
+    table = build_table(profile, config)
+    crash_sites = sum(c.var_count for c in table.classes
+                      if c.var_type is FFType.CONTROL_GLOBAL) * table.bit_width
+    n_vars = sum(c.var_count for c in table.classes if c.var_type is not FFType.CONTROL_GLOBAL)
+    for batch_bytes in (1, microdnn.BATCH_BYTES):
+        monkeypatch.setattr(microdnn, "BATCH_BYTES", batch_bytes)
+        calls = []
+        exhaustive_ra(profile, config, net, evalset, progress=lambda d, t: calls.append((d, t)))
+        done = [d for d, _ in calls]
+        assert all(b > a for a, b in zip([0] + done, done)), done
+        assert {t for _, t in calls} == {table.total_sites - crash_sites}
+        assert done[-1] == table.total_sites - crash_sites
+        # one call per variable when every batch holds one, fewer otherwise
+        assert len(calls) == n_vars if batch_bytes == 1 else len(calls) < n_vars
+
+
+# --- FP16 elementwise layers ---------------------------------------------------
+
+def test_fp16_relu_on_bit_patterns_equals_maximum():
+    x = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(np.float16)
+    got = microdnn._apply_layer(ReLU(), x.reshape(4, -1), NumericFormat.FP16)
+    with np.errstate(invalid="ignore"):
+        want = np.maximum(x, np.float16(0))
+    assert got.dtype == np.float16
+    assert np.array_equal(got.view(np.uint16).reshape(-1), want.view(np.uint16))
+
+
+def _fp16_patterns(rng, shape, specials):
+    """Random FP16 bit patterns, half of them drawn from ``specials``; the
+    random ones that are signalling NaNs are made quiet."""
+    bits = rng.integers(0, 1 << 16, size=shape).astype(np.uint16)
+    signalling = ((bits & 0x7C00) == 0x7C00) & ((bits & 0x3FF) != 0) & ((bits & 0x200) == 0)
+    bits[signalling] |= 0x200
+    pick = rng.random(shape) < 0.5
+    bits[pick] = rng.choice(np.array(specials, dtype=np.uint16), pick.sum())
+    return bits.view(np.float16)
+
+
+# +-0, +-Inf, quiet NaNs of both signs, the smallest subnormals, the largest finite values
+FP16_SPECIALS = [0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE00, 0x7E01, 0xFF2A,
+                 0x0001, 0x8001, 0x7BFF, 0xFBFF]
+POOLS = [(1, 1), (2, 2), (3, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("kernel,stride", POOLS)
+def test_fp16_maxpool_equals_reference(kernel, stride):
+    """On FP16 patterns with quiet NaNs, +-0 and +-Inf, max-pool over a
+    batch gives the bits the reference engine gives each input alone."""
+    rng = np.random.default_rng(kernel * 10 + stride)
+    x = _fp16_patterns(rng, (16, 2, 7, 7), FP16_SPECIALS)
+    layer = MaxPool2D(kernel=kernel, stride=stride)
+    got = microdnn._apply_layer(layer, x, NumericFormat.FP16)
+    want = np.stack([reference_apply_layer(layer, xi, NumericFormat.FP16) for xi in x])
+    assert got.dtype == np.float16
+    assert np.array_equal(got.view(np.uint16), want.view(np.uint16))
+
+
+@pytest.mark.parametrize("kernel,stride", POOLS)
+def test_fp16_maxpool_ignores_signalling_nans_as_fp16_does(kernel, stride):
+    """A flipped exponent can make a signalling NaN. FP16 max-pool ignores
+    it like any NaN, as FP16 fmax does, whatever the batch. (numpy's float64
+    fmax, which the reference engine takes per input, answers a signalling
+    NaN by memory layout, so it is not the yardstick here.)"""
+    rng = np.random.default_rng(kernel * 10 + stride)
+    x = _fp16_patterns(rng, (16, 2, 7, 7), FP16_SPECIALS + [0x7C01, 0xFC2A, 0x7D00])
+    layer = MaxPool2D(kernel=kernel, stride=stride)
+    with np.errstate(invalid="ignore"):
+        fp16 = kernels.maxpool2d(x, kernel, stride)
+        for batch in (slice(None), slice(0, 1), slice(5, 7)):
+            got = microdnn._apply_layer(layer, x[batch], NumericFormat.FP16)
+            # equal values: NaN where FP16 gives NaN, +0 and -0 alike
+            assert np.array_equal(got, fp16[batch], equal_nan=True)
