@@ -20,21 +20,27 @@ computed once (:class:`ActivationCache`). The faulted layer's output starts
 as a copy of its cached clean output; only the elements that read a flipped
 value inside its reuse window are recomputed, those of all the chunk's
 variables in one sum, and the vars x bits x inputs batch then runs through
-the downstream layers as one forward. Local-control variables are grouped
-by the layer their hashed weight lands in. A chunk holds as many variables
-as keep its widest float64 activation within BATCH_BYTES; a single variable
-too large for that goes in chunks of inputs, and a recompute in chunks of
-output elements whose (elements, bits, inputs, fan-in + 1) float64 sums fit
-in BATCH_BYTES. No chunking changes a result.
+the downstream layers as one forward. Before each conv and FC layer of that
+forward, the rows whose bits equal the layer's cached clean input are
+dropped and take the clean prediction: ReLU and max-pooling put about half
+the faulty rows of a LeNet back to their clean bits before its next conv or
+FC layer. Local-control variables are grouped by the layer their hashed
+weight lands in. A chunk holds as many variables as keep its widest float64
+activation within BATCH_BYTES; a single variable too large for that goes in
+chunks of inputs, and a recompute in chunks of output elements whose
+(elements, bits, inputs, fan-in + 1) float64 sums fit in BATCH_BYTES. No
+chunking changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
 ``kernels.fc_elem``; every other element is the cached clean value, which
 the whole-layer kernels produce. The batched kernels give every batch item
 the bits they give it alone, so a faulty inference does not depend on what
-else is in its batch. FP16 ReLU works on the bit patterns and FP16 max-pool
-in float64, since numpy does FP16 arithmetic in software; both give the
-FP16 results. The shared network and the cache are never mutated.
+else is in its batch, nor on which rows were dropped. Max-pool quiets
+signalling NaNs first, since numpy's fmax answers those by code path. FP16
+ReLU works on the bit patterns and FP16 max-pool in float64, since numpy
+does FP16 arithmetic in software; both give the FP16 results. The shared
+network and the cache are never mutated.
 """
 
 from __future__ import annotations
@@ -249,12 +255,16 @@ def _apply_layer(
             return (b * ((b - np.uint16(0x8001)) >= 0x7C00)).view(np.float16)
         return np.maximum(a, a.dtype.type(0))
     if isinstance(layer, MaxPool2D):
-        # A maximum is one of its inputs, so float64 holds it exactly; FP16
-        # goes through float64 because numpy's FP16 arithmetic is software.
-        # Multiplying by 1.0 quiets signalling NaNs: float64 fmax ignores
-        # those or not by memory layout, FP16 fmax always ignores them.
-        if fmt is NumericFormat.FP16:
-            a = np.multiply(a, 1.0, dtype=np.float64)
+        # Multiplying by 1.0 quiets signalling NaNs: float32/float64 fmax
+        # ignores those or not by code path, so by what else is in the
+        # batch, and FP16 fmax always ignores them. A maximum is one of its
+        # inputs, so float64 holds it exactly; FP16 goes through float64
+        # because numpy's FP16 arithmetic is software.
+        with np.errstate(invalid="ignore"):
+            if fmt is NumericFormat.FP16:
+                a = np.multiply(a, 1.0, dtype=np.float64)
+            elif fmt is NumericFormat.FP32:
+                a = a * np.float32(1.0)
         return _cast(kernels.maxpool2d(a, layer.kernel, layer.stride), fmt)
     if isinstance(layer, Flatten):
         return a.reshape(len(a), -1)
@@ -559,9 +569,10 @@ def prediction_batches(
     ``var_index`` and ``bit_pos`` are not read.
 
     Each batch recomputes the faulted layer once, from its cached clean
-    output, and runs one downstream forward over vars x bits x inputs.
-    Local-control variables are batched by the layer their hashed weight
-    lands in.
+    output, and runs one downstream forward over vars x bits x inputs, in
+    which the rows a fault no longer touches are dropped
+    (:func:`_downstream`). Local-control variables are batched by the layer
+    their hashed weight lands in.
     """
     bits = [int(b) for b in bits]
     vs = np.asarray(var_indices, dtype=np.int64).reshape(-1)
@@ -601,11 +612,39 @@ def prediction_batches(
                         net.layers[k], cache.weights64[k], cache.acts[k][j : j + in_step],
                         cache.acts[k + 1][j : j + in_step], fmt, var_type, vs[pos], bits, fault,
                     )
-                    a = a.reshape((-1,) + a.shape[3:])
-                    for layer, w64 in zip(net.layers[k + 1 :], cache.weights64[k + 1 :]):
-                        a = _apply_layer(layer, a, fmt, w64)
-                    preds.append(_predict(a).reshape(len(pos), len(bits), -1))
+                    inputs = np.tile(np.arange(j, j + a.shape[2]), len(pos) * len(bits))
+                    p = _downstream(net, cache, k, a.reshape((len(inputs),) + a.shape[3:]), inputs)
+                    preds.append(p.reshape(len(pos), len(bits), -1))
             yield pos, np.concatenate(preds, axis=2)
+
+
+def _downstream(
+    net: MicroNetwork, cache: ActivationCache, k: int, a: np.ndarray, inputs: np.ndarray
+) -> np.ndarray:
+    """Predicted class of each row of ``a``, an output of layer k whose row r
+    comes from cached input ``inputs[r]``.
+
+    Before each conv and FC layer, the rows whose bits equal the clean input
+    of that layer are dropped: ReLU and max-pooling mask many faults, and a
+    row the fault no longer touches takes the clean prediction. Comparing
+    bits, not values, keeps every row with a NaN or a zero of the other
+    sign. Every kernel treats batch items alone, so this changes no result.
+    """
+    fmt = net.numeric_format
+    preds = cache.preds[inputs]
+    rows = np.arange(len(a))
+    for i in range(k + 1, len(net.layers)):
+        layer = net.layers[i]
+        if isinstance(layer, (Conv2D, FC)):
+            clean = cache.acts[i][inputs[rows]]
+            differ = a.view(fmt.bits_dtype) != clean.view(fmt.bits_dtype)
+            live = differ.reshape(len(rows), -1).any(axis=1)
+            a, rows = a[live], rows[live]
+            if not len(rows):
+                return preds
+        a = _apply_layer(layer, a, fmt, cache.weights64[i])
+    preds[rows] = _predict(a)
+    return preds
 
 
 def faulty_predictions(
@@ -654,8 +693,9 @@ class EvalSet:
 class ActivationCache:
     """Clean activations of a whole evalset, shared across fault evaluations:
     ``acts[i]`` is the input of layer i stacked over the inputs,
-    (n_inputs, *shape), and ``acts[-1]`` the network output. ``weights64[i]``
-    is layer i's weight in float64, None for a layer without one."""
+    (n_inputs, *shape), ``acts[-1]`` the network output and ``preds`` each
+    input's predicted class. ``weights64[i]`` is layer i's weight in float64,
+    None for a layer without one."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
         self.weights64 = [
@@ -663,6 +703,7 @@ class ActivationCache:
             for layer in net.layers
         ]
         self.acts = list(_layer_outputs(net, evalset.inputs, self.weights64))
+        self.preds = _predict(self.acts[-1])
 
 
 def bit_accuracies(

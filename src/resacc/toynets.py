@@ -14,7 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from .formats import NumericFormat
-from .microdnn import FC, Conv2D, EvalSet, Flatten, MaxPool2D, MicroNetwork, ReLU, Softmax, infer
+from .microdnn import (
+    FC,
+    Conv2D,
+    EvalSet,
+    Flatten,
+    MaxPool2D,
+    MicroNetwork,
+    ReLU,
+    Softmax,
+    _forward,
+    _predict,
+)
 from .profile import AcceleratorConfig, FFType
 
 
@@ -107,7 +118,7 @@ def make_evalset(
 ) -> EvalSet:
     rng = np.random.default_rng(seed)
     inputs = _inputs(rng, (n,) + tuple(net.input_shape), net.numeric_format)
-    labels = np.array([infer(net, x) for x in inputs], dtype=np.int64)
+    labels = _predict(_forward(net, inputs)).astype(np.int64)
     if label_noise > 0.0:
         n_classes = int(labels.max()) + 1
         flip = rng.random(n) < label_noise

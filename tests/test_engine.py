@@ -103,7 +103,7 @@ def _archives(net, evalset, profile, config, semantics):
 @pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
 @pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
 @pytest.mark.parametrize("toy", list(TOYS))
-def test_archive_equals_reference(toy, fmt, semantics):
+def test_archive_equals_reference(monkeypatch, toy, fmt, semantics):
     net = TOYS[toy](fmt)
     config = make_config(fmt)
     profile = derive_profile(net, config)
@@ -111,6 +111,11 @@ def test_archive_equals_reference(toy, fmt, semantics):
     batched, reference = _archives(net, evalset, profile, config, semantics)
     for key, ref in reference.items():
         assert np.array_equal(batched[key], ref), key
+    # Small batches drop their masked rows apart from those of other batches.
+    monkeypatch.setattr(microdnn, "BATCH_BYTES", 1 << 9)
+    small = _batched_archive(net, evalset, profile, config, semantics)
+    for key, ref in reference.items():
+        assert np.array_equal(small[key], ref), key
     if semantics is FaultSemantics.TRUE:
         _, archive = exhaustive_ra(profile, config, net, evalset, semantics)
         for key, arr in archive.entries.items():
@@ -467,6 +472,87 @@ def test_oracle_progress_rises_to_the_total(monkeypatch):
         assert len(calls) == n_vars if batch_bytes == 1 else len(calls) < n_vars
 
 
+# --- masked rows -----------------------------------------------------------------
+
+def _masking_net():
+    """FC -> ReLU -> FC -> Softmax in FP32 with four inputs. The first layer
+    copies input 0 and input 1 to units 0 and 1, and unit 2 is minus a
+    quarter of the input sum; all three are exact:
+
+    unit 0: -1.5, 1.0, -1.0, -0.5 (flipping bit 30 gives -NaN, +Inf, -Inf, -2**127)
+    unit 1: 0.5, -0.5, 0.75, -0.25
+    unit 2: negative for every input
+    """
+    fmt = NumericFormat.FP32
+    w1 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-0.25] * 4], dtype=np.float32)
+    w2 = np.array([[1, -1, 0.5], [-1, 1, 0.5], [0.5, 0.5, -1]], dtype=np.float32)
+    net = MicroNetwork([FC(w1), ReLU(), FC(w2), Softmax()], (4,), fmt)
+    inputs = np.array([[-1.5, 0.5, 1.0, 0.5], [1.0, -0.5, 0.5, 0.25],
+                       [-1.0, 0.75, 0.5, 0.5], [-0.5, -0.25, 0.25, 0.75]], dtype=np.float32)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    cache = ActivationCache(net, EvalSet(inputs, np.zeros(len(inputs), dtype=np.int64)))
+    assert np.array_equal(cache.acts[1][:, :2], inputs[:, :2])
+    assert np.all(cache.acts[1][:, 2] < 0)
+    return net, profile, config, cache
+
+
+def _rows_into_fc(monkeypatch):
+    """The number of rows of each later ``kernels.fc`` call."""
+    rows = []
+    fc = kernels.fc
+
+    def spy(x, w):
+        rows.append(len(x))
+        return fc(x, w)
+
+    monkeypatch.setattr(kernels, "fc", spy)
+    return rows
+
+
+def _masked_run(monkeypatch, var, bits):
+    """Faulty predictions with output activation ``var`` of the first layer
+    flipped, each equal to the reference engine's, and the rows that reached
+    the second FC layer."""
+    net, profile, config, cache = _masking_net()
+    layer_id = next(l.layer_id for l in profile.layers if l.net_index == 0)
+    fault = make_fault(SoftwareFaultSite(layer_id, FFType.OUTPUT_ACTIVATION, var, 0), config)
+    rows = _rows_into_fc(monkeypatch)
+    got = faulty_predictions(net, fault, profile, cache, bits)
+    rows = rows[:]  # the reference engine calls kernels.fc too
+    for i, b in enumerate(bits):
+        f = make_fault(SoftwareFaultSite(layer_id, FFType.OUTPUT_ACTIVATION, var, b), config)
+        assert list(got[i]) == [reference_infer(net, x, f, profile) for x in cache.acts[0]], b
+    return got, rows, cache
+
+
+def test_masked_rows_skip_the_next_fc_layer(monkeypatch):
+    """A low-mantissa flip of a negative value before a ReLU is masked:
+    those rows do not reach the next FC layer and take the clean prediction.
+    The flips of positive values reach it."""
+    got, rows, cache = _masked_run(monkeypatch, 1, [0])
+    assert rows == [2]
+    assert np.array_equal(got[0, [1, 3]], cache.preds[[1, 3]])
+
+
+def test_nan_and_inf_rows_are_kept(monkeypatch):
+    """Flipping bit 30 makes -1.5 a NaN, which ReLU keeps, and 1.0 +Inf:
+    both rows reach the next FC layer. -Inf and -2**127 become +0 in the
+    ReLU, as the clean values do, and are dropped."""
+    got, rows, cache = _masked_run(monkeypatch, 0, [30])
+    assert rows == [2]
+    assert np.array_equal(got[0, [2, 3]], cache.preds[[2, 3]])
+
+
+def test_fully_masked_batch_gives_clean_predictions(monkeypatch):
+    """Every mantissa flip of a value that is negative for every input is
+    masked: no row reaches the next FC layer, and every prediction is the
+    clean one."""
+    got, rows, cache = _masked_run(monkeypatch, 2, range(23))
+    assert rows == []
+    assert np.array_equal(got, np.broadcast_to(cache.preds, got.shape))
+
+
 # --- FP16 elementwise layers ---------------------------------------------------
 
 def test_fp16_relu_on_bit_patterns_equals_maximum():
@@ -523,3 +609,37 @@ def test_fp16_maxpool_ignores_signalling_nans_as_fp16_does(kernel, stride):
             got = microdnn._apply_layer(layer, x[batch], NumericFormat.FP16)
             # equal values: NaN where FP16 gives NaN, +0 and -0 alike
             assert np.array_equal(got, fp16[batch], equal_nan=True)
+
+
+def _fp32_patterns(rng, shape, specials):
+    """Random FP32 bit patterns, half of them drawn from ``specials``."""
+    bits = rng.integers(0, 1 << 32, size=shape, dtype=np.uint64).astype(np.uint32)
+    pick = rng.random(shape) < 0.5
+    bits[pick] = rng.choice(np.array(specials, dtype=np.uint32), pick.sum())
+    return bits.view(np.float32)
+
+
+# +-0, +-Inf, quiet and signalling NaNs of both signs, the smallest
+# subnormals, the largest finite values
+FP32_SPECIALS = [0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000,
+                 0x7F800001, 0xFF812345, 0x7FA00000, 0x00000001, 0x80000001, 0x7F7FFFFF,
+                 0xFF7FFFFF]
+
+
+@pytest.mark.parametrize("shape", [(16, 2, 4, 4), (16, 2, 7, 7)])
+@pytest.mark.parametrize("kernel,stride", POOLS)
+def test_fp32_maxpool_ignores_signalling_nans_whatever_the_batch(kernel, stride, shape):
+    """A flipped exponent can make a signalling NaN. FP32 max-pool ignores
+    it like any NaN and gives each input the values the reference engine
+    gives it alone, whatever else is in the batch. (numpy's float32 fmax
+    answers a signalling NaN by code path, and so by the batch.)"""
+    rng = np.random.default_rng(kernel * 10 + stride)
+    x = _fp32_patterns(rng, shape, FP32_SPECIALS)
+    layer = MaxPool2D(kernel=kernel, stride=stride)
+    with np.errstate(invalid="ignore"):
+        want = np.stack([reference_apply_layer(layer, xi, NumericFormat.FP32) for xi in x])
+        for batch in (slice(None), slice(0, 1), slice(5, 7), slice(3, 11)):
+            got = microdnn._apply_layer(layer, x[batch], NumericFormat.FP32)
+            assert got.dtype == np.float32
+            # equal values: NaN where the reference gives NaN, +0 and -0 alike
+            assert np.array_equal(got, want[batch], equal_nan=True), batch

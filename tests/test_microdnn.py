@@ -26,16 +26,19 @@ from resacc.microdnn import (
     accuracy,
     clean_activations,
     faulty_predictions,
+    forward,
     infer,
     make_fault,
 )
 from resacc.profile import FFType, SoftwareFaultSite, CONTROL_LAYER, derive_profile
+from resacc import toynets
 from resacc.toynets import (
     make_config,
     make_conv_toy,
     make_dense_toy,
     make_evalset,
     make_pool_toy,
+    make_skewed_toy,
 )
 
 
@@ -233,6 +236,33 @@ class TestAccuracy:
         prof = derive_profile(net, make_config())
         noisy = make_evalset(net, 200, seed=2, label_noise=0.3)
         assert accuracy(net, noisy, None, prof) < 1.0
+
+
+TOYS = {
+    "dense": make_dense_toy,
+    "conv": make_conv_toy,
+    "pool": make_pool_toy,
+    "skew0": lambda fmt: make_skewed_toy(0, fmt=fmt),
+    "skew1": lambda fmt: make_skewed_toy(1, fmt=fmt),
+}
+
+
+@pytest.mark.parametrize("label_noise", [0.0, 0.3])
+@pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
+@pytest.mark.parametrize("toy", list(TOYS))
+def test_evalset_labels_equal_one_inference_per_input(monkeypatch, toy, fmt, label_noise):
+    """``make_evalset`` labels its inputs with one batched forward; the
+    labels, noisy ones included, are those of one inference per input."""
+    net = TOYS[toy](fmt)
+    got = make_evalset(net, 60, seed=4, label_noise=label_noise)
+    if label_noise == 0.0:
+        assert got.labels.tolist() == [infer(net, x) for x in got.inputs]
+    monkeypatch.setattr(toynets, "_forward",
+                        lambda net, inputs: np.stack([forward(net, x) for x in inputs]))
+    want = make_evalset(net, 60, seed=4, label_noise=label_noise)
+    assert np.array_equal(got.inputs, want.inputs)
+    assert got.labels.dtype == want.labels.dtype == np.int64
+    assert np.array_equal(got.labels, want.labels)
 
 
 class TestContainers:
