@@ -102,12 +102,18 @@ class DiscretePDF:
     site_probs: np.ndarray  # per-var-per-bit p(j) of each unit's sites
     exact_integrand: bool = False  # built from oracle p*A; zero weights are safe
     _cum: np.ndarray = field(init=False, repr=False)
+    # each unit's (layer, type, bit) class, numbered in sorted order
+    _unit_class: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.weights < 0) or not np.any(self.weights > 0):
             raise ValueError("PDF weights must be >= 0 with at least one > 0")
         self._cum = np.cumsum(self.weights / self.weights.sum())
         self._cum[-1] = 1.0
+        layer, code, bit = (np.asarray(a, dtype=np.int64)
+                            for a in (self.layer_ids, self.type_codes, self.bit_pos))
+        key = ((layer - layer.min()) * len(_FFTYPES) + code) * (bit.max() + 1) + bit
+        self._unit_class = np.unique(key, return_inverse=True)[1]
 
     @property
     def n_units(self) -> int:
@@ -307,15 +313,13 @@ class _SiteMemo:
     def __init__(self, pdf: DiscretePDF, evaluator: Evaluator):
         self.pdf = pdf
         self.evaluator = evaluator
-        ltb = np.stack([pdf.layer_ids, pdf.type_codes, pdf.bit_pos], axis=1)
-        self.unit_class = np.unique(ltb, axis=0, return_inverse=True)[1].reshape(-1)
         self.span = max(int(pdf.members.max()), int(pdf.var_index.max()) + 1)
         self.keys = np.empty(0, dtype=np.int64)  # sorted
         self.values = np.empty(0)
 
     def lookup(self, units: np.ndarray, vars_: np.ndarray) -> np.ndarray:
         """A(j) of each draw (units[i], vars_[i])."""
-        keys = self.unit_class[units] * self.span + vars_
+        keys = self.pdf._unit_class[units] * self.span + vars_
         uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
         known = pos < len(self.keys)

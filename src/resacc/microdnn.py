@@ -15,29 +15,37 @@ three corruption semantics:
 Faults are evaluated a chunk of variables of one (layer, type) class at a
 time, over every requested bit of each and every input of the evalset in
 one batch (:func:`prediction_batches`, :func:`faulty_predictions`). The
-clean activations of the whole evalset, and the weights in float64, are
-computed once (:class:`ActivationCache`). The faulted layer's output starts
-as a copy of its cached clean output; only the elements that read a flipped
-value inside its reuse window are recomputed, those of all the chunk's
-variables in one sum, and the vars x bits x inputs batch then runs through
-the downstream layers as one forward. Before each conv and FC layer of that
-forward, the rows whose bits equal the layer's cached clean input are
-dropped and take the clean prediction: ReLU and max-pooling put about half
-the faulty rows of a LeNet back to their clean bits before its next conv or
-FC layer. Local-control variables are grouped by the layer their hashed
-weight lands in. A chunk holds as many variables as keep its widest float64
-activation within BATCH_BYTES; a single variable too large for that goes in
-chunks of inputs, and a recompute in chunks of output elements whose
-(elements, bits, inputs, fan-in + 1) float64 sums fit in BATCH_BYTES. No
-chunking changes a result.
+clean activations of the whole evalset, the weights in float64 and the
+window tables of each max-pool layer are computed once
+(:class:`ActivationCache`). Only the elements of the faulted layer's output
+that read a flipped value inside its reuse window are recomputed, those of
+all the chunk's variables in one sum. They form the fault frontier: per
+variable, the positions of the elements it changed and their values under
+every bit and input. The frontier, not whole rows, goes through the layers
+that sum nothing: ReLU on its values, Flatten as it is, and max-pool by
+recomputing only the windows that cover a changed position. At the first
+conv, FC or softmax layer (or the end of the net), only the vars x bits x
+inputs rows whose values differ in bits from the clean ones are built dense
+and run on as one forward; the rest take the clean prediction. Before each
+later conv and FC layer of that forward, the rows whose bits equal the
+layer's cached clean input are dropped too. Local-control variables are
+grouped by the layer their hashed weight lands in. A chunk holds as many
+variables as keep its widest float64 activation within BATCH_BYTES; a
+single variable too large for that goes in chunks of inputs, a recompute in
+chunks of output elements whose (elements, bits, inputs, fan-in + 1)
+float64 sums fit in BATCH_BYTES, and a frontier max-pool in chunks of
+windows whose patches fit in it. No chunking changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
 ``kernels.fc_elem``; every other element is the cached clean value, which
-the whole-layer kernels produce. The batched kernels give every batch item
-the bits they give it alone, so a faulty inference does not depend on what
-else is in its batch, nor on which rows were dropped. Max-pool quiets
-signalling NaNs first, since numpy's fmax answers those by code path. FP16
+the whole-layer kernels produce. A frontier max-pool window takes the same
+fmax chain over the same members as ``kernels.maxpool2d``. The batched
+kernels give every batch item the bits they give it alone, so a faulty
+inference does not depend on what else is in its batch, nor on which rows
+were dropped. Max-pool quiets signalling NaNs first, since numpy's fmax
+answers those by code path; the recompute of a fault at a max-pool input is
+the one exception (see :func:`_faulty_outputs`). FP16
 ReLU works on the bit patterns and FP16 max-pool in float64, since numpy
 does FP16 arithmetic in software; both give the FP16 results. The shared
 network and the cache are never mutated.
@@ -48,6 +56,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -231,7 +240,22 @@ def _cast(a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if fmt is NumericFormat.INT8:
             return np.clip(np.rint(np.nan_to_num(a)), -128, 127).astype(np.int8)
-        return a.astype(fmt.dtype)
+        return a.astype(fmt.dtype, copy=False)
+
+
+def _quiet(a: np.ndarray, fmt: NumericFormat, out: np.ndarray | None = None) -> np.ndarray:
+    """``a`` in the dtype max-pool takes its maxima in, signalling NaNs made
+    quiet (into ``out``, if given). Multiplying by 1.0 quiets them:
+    float32/float64 fmax ignores those or not by code path, so by what else
+    is in the batch, and FP16 fmax always ignores them. A maximum is one of
+    its inputs, so float64 holds it exactly; FP16 goes through float64
+    because numpy's FP16 arithmetic is software."""
+    with np.errstate(invalid="ignore"):
+        if fmt is NumericFormat.FP16:
+            return np.multiply(a, 1.0, dtype=np.float64, out=out)
+        if fmt is NumericFormat.FP32:
+            return np.multiply(a, np.float32(1.0), out=out)
+    return a
 
 
 def _apply_layer(
@@ -255,17 +279,7 @@ def _apply_layer(
             return (b * ((b - np.uint16(0x8001)) >= 0x7C00)).view(np.float16)
         return np.maximum(a, a.dtype.type(0))
     if isinstance(layer, MaxPool2D):
-        # Multiplying by 1.0 quiets signalling NaNs: float32/float64 fmax
-        # ignores those or not by code path, so by what else is in the
-        # batch, and FP16 fmax always ignores them. A maximum is one of its
-        # inputs, so float64 holds it exactly; FP16 goes through float64
-        # because numpy's FP16 arithmetic is software.
-        with np.errstate(invalid="ignore"):
-            if fmt is NumericFormat.FP16:
-                a = np.multiply(a, 1.0, dtype=np.float64)
-            elif fmt is NumericFormat.FP32:
-                a = a * np.float32(1.0)
-        return _cast(kernels.maxpool2d(a, layer.kernel, layer.stride), fmt)
+        return _cast(kernels.maxpool2d(_quiet(a, fmt), layer.kernel, layer.stride), fmt)
     if isinstance(layer, Flatten):
         return a.reshape(len(a), -1)
     if isinstance(layer, Softmax):
@@ -367,11 +381,12 @@ def _check_vars(vs: np.ndarray, count: int, var_type: FFType) -> None:
         raise ValueError(f"var_index out of range for {var_type.value}: [0, {count})")
 
 
-def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each element's variable and its rank among that variable's elements,
-    for ``count`` elements per variable (an array, or one count for all)."""
+    for ``count`` elements per variable (an array, or one count for all),
+    and the count of each variable."""
     counts = np.zeros(n_vars, dtype=np.int64) + count
-    return np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None])
+    return *np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None]), counts
 
 
 def _covering(i: np.ndarray, k: int, stride: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -410,41 +425,39 @@ def _faulty_outputs(
     var_indices: np.ndarray,
     bits: list[int],
     fault: FaultSpec,
-) -> np.ndarray:
-    """One layer's output over a batch of inputs with each of its variables
-    ``var_indices`` flipped in turn, for each of ``bits``:
-    (V, F, *clean.shape).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fault frontier of one layer's output over a batch of n inputs,
+    with each of its variables ``var_indices`` flipped in turn, for each of
+    ``bits``: (pos, vals). ``pos`` (V, P) holds the flat positions, within
+    one output, of the elements each variable changes, padded to P by
+    repeating its last; ``vals`` (V, P, F, n) holds their values. A
+    variable that changes no element has position 0 with its clean value.
+    Every other element is that of ``clean``.
 
     ``x`` and ``clean`` are the layer's cached clean input and output, and
     ``w64`` its weight in float64. The output elements that read a flipped
     value inside its reuse window are recomputed, those of all the
     variables in one batch, each summed sequentially
-    (``kernels.dot_sequential``); every other element is copied from
-    ``clean``.
+    (``kernels.dot_sequential``).
     """
     n, n_bits = len(x), len(bits)
     vs = np.asarray(var_indices, dtype=np.int64)
-    out = np.empty((len(vs), n_bits) + clean.shape, dtype=clean.dtype)
-    out[...] = clean
-    flat = out.reshape(len(vs), n_bits, n, -1)
-    every = np.arange(len(vs))
     if var_type is FFType.OUTPUT_ACTIVATION:
         values = clean.reshape(n, -1)
         _check_vars(vs, values.shape[1], var_type)
-        flat[every, :, :, vs] = _flipped(values[:, vs].T, bits, fmt).swapaxes(0, 1)
-        return out
+        return vs[:, None], _flipped(values[:, vs].T, bits, fmt).swapaxes(0, 1)[:, None]
     if var_type is FFType.INPUT_ACTIVATION:
         _check_vars(vs, x[0].size, var_type)
         xf = _flipped(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
         if isinstance(layer, ReLU):
-            flat[every, :, :, vs] = np.where(xf < 0, xf.dtype.type(0), xf)
-            return out
+            return vs[:, None], np.where(xf < 0, xf.dtype.type(0), xf)[:, None]
         xf64 = xf.astype(np.float64)
 
     # Each branch names the output elements to recompute (elems), the
-    # variable each belongs to (owner), and recompute(sel) -> (E, F, n), the
-    # float64 values of the elements [sel]. A summing branch also names the
-    # fan-in position at which each element reads the flipped value (hit_k).
+    # variable each belongs to (owner) and its rank among that variable's
+    # elements, and recompute(sel) -> (E, F, n), the float64 values of the
+    # elements [sel]. A summing branch also names the fan-in position at
+    # which each element reads the flipped value (hit_k).
     if var_type is FFType.WEIGHT:
         if w64 is None:
             raise ValueError("weight fault on a layer without weights")
@@ -453,7 +466,8 @@ def _faulty_outputs(
         if isinstance(layer, FC):
             # Each FC weight is read once per inference.
             elems, hit_k = np.divmod(vs, w64.shape[1])
-            owner = every
+            owner, rank = np.arange(len(vs)), np.zeros(len(vs), dtype=np.int64)
+            counts = rank + 1
             xt = x.astype(np.float64).T  # (K, n)
 
             def recompute(sel):
@@ -465,7 +479,7 @@ def _faulty_outputs(
             _, oh, ow = clean.shape[1:]
             o, k = np.divmod(vs, w64[0].size)
             start, count = _window(vs, oh * ow, fault)
-            owner, rank = _spread(count, len(vs))
+            owner, rank, counts = _spread(count, len(vs))
             u = start[owner] + rank
             oc, hit_k = o[owner], k[owner]
             elems = oc * oh * ow + u
@@ -481,7 +495,7 @@ def _faulty_outputs(
         assert var_type is FFType.INPUT_ACTIVATION
         if isinstance(layer, FC):
             start, count = _window(vs, w64.shape[0], fault)
-            owner, rank = _spread(count, len(vs))
+            owner, rank, counts = _spread(count, len(vs))
             elems = start[owner] + rank
             hit_k = vs[owner]
             xt = x.astype(np.float64).T  # (K, n)
@@ -500,7 +514,7 @@ def _faulty_outputs(
             y0, ny = _covering(iy + pad, kh, s, oh)
             z0, nz = _covering(iz + pad, kw, s, ow)
             start, count = _window(vs, ny * nz * n_oc, fault)
-            owner, rank = _spread(count, len(vs))
+            owner, rank, counts = _spread(count, len(vs))
             p, o = np.divmod(start[owner] + rank, n_oc)
             py, pz = np.divmod(p, nz[owner])
             y, z = y0[owner] + py, z0[owner] + pz
@@ -520,7 +534,7 @@ def _faulty_outputs(
             y0, ny = _covering(iy, k, s, oh)
             z0, nz = _covering(iz, k, s, ow)
             start, count = _window(vs, ny * nz, fault)
-            owner, rank = _spread(count, len(vs))
+            owner, rank, counts = _spread(count, len(vs))
             py, pz = np.divmod(start[owner] + rank, nz[owner])
             y, z = y0[owner] + py, z0[owner] + pz
             elems = (c[owner] * oh + y) * ow + z
@@ -530,10 +544,15 @@ def _faulty_outputs(
 
             def recompute(sel):
                 e = np.arange(len(hit[sel]))
-                # C order: numpy's fmax.reduce gives NaN for a signalling NaN
-                # (a flipped exponent can make one) on a contiguous axis, but
-                # the other operand on a strided one; the reference takes the
-                # former. (E, F, n, k*k)
+                # Unlike every other max-pool here, this one does not quiet
+                # signalling NaNs: a flipped input that is one (a flipped
+                # exponent can make one) wins every window it is in, as
+                # numpy's fmax.reduce answers it on a contiguous axis, which
+                # is why the patches are C-ordered (on a strided axis it
+                # gives the other operand). The reference engine does the
+                # same, and the committed benchmark archive records it;
+                # tests/test_engine.py pins four A(j) that quieting would
+                # move. (E, F, n, k*k)
                 patches = np.empty((len(e), n_bits, n, k * k))
                 patches[:] = xt[c[owner[sel], None], (y[sel] * s)[:, None] + ky,
                                 (z[sel] * s)[:, None] + kz].swapaxes(1, 2)[:, None]
@@ -546,10 +565,17 @@ def _faulty_outputs(
     # alone, so chunking changes no result.
     per_elem = k * k if isinstance(layer, MaxPool2D) else w64[0].size + 1
     step = max(1, BATCH_BYTES // (8 * n * n_bits * per_elem))
+    pos = np.zeros((len(vs), max(1, int(counts.max()))), dtype=np.int64)
+    pos[owner, rank] = elems
+    vals = np.empty(pos.shape + (n_bits, n), dtype=clean.dtype)
     for i in range(0, len(elems), step):
         sel = slice(i, i + step)
-        flat[owner[sel], :, :, elems[sel]] = _cast(recompute(sel), fmt)
-    return out
+        vals[owner[sel], rank[sel]] = _cast(recompute(sel), fmt)
+    if counts.min() < pos.shape[1]:
+        _repeat_last(pos, counts)
+        _repeat_last(vals, counts)
+        vals[counts == 0] = clean.reshape(n, -1)[:, 0]
+    return pos, vals
 
 
 def prediction_batches(
@@ -568,11 +594,12 @@ def prediction_batches(
     ``fault.site``'s (layer, type) class and take its mode; the site's
     ``var_index`` and ``bit_pos`` are not read.
 
-    Each batch recomputes the faulted layer once, from its cached clean
-    output, and runs one downstream forward over vars x bits x inputs, in
-    which the rows a fault no longer touches are dropped
-    (:func:`_downstream`). Local-control variables are batched by the layer
-    their hashed weight lands in.
+    Each batch recomputes the faulted layer's changed elements once
+    (:func:`_faulty_outputs`) and carries them through the layers that sum
+    nothing; from the first layer that sums, only the vars x bits x inputs
+    rows the fault still touches run on, as one forward
+    (:func:`_frontier_predictions`). Local-control variables are batched by
+    the layer their hashed weight lands in.
     """
     bits = [int(b) for b in bits]
     vs = np.asarray(var_indices, dtype=np.int64).reshape(-1)
@@ -608,41 +635,153 @@ def prediction_batches(
             preds = []
             with np.errstate(all="ignore"):
                 for j in range(0, n, in_step):
-                    a = _faulty_outputs(
-                        net.layers[k], cache.weights64[k], cache.acts[k][j : j + in_step],
-                        cache.acts[k + 1][j : j + in_step], fmt, var_type, vs[pos], bits, fault,
+                    cols = slice(j, min(n, j + in_step))
+                    front = _faulty_outputs(
+                        net.layers[k], cache.weights64[k], cache.acts[k][cols],
+                        cache.acts[k + 1][cols], fmt, var_type, vs[pos], bits, fault,
                     )
-                    inputs = np.tile(np.arange(j, j + a.shape[2]), len(pos) * len(bits))
-                    p = _downstream(net, cache, k, a.reshape((len(inputs),) + a.shape[3:]), inputs)
-                    preds.append(p.reshape(len(pos), len(bits), -1))
+                    preds.append(_frontier_predictions(net, cache, k + 1, *front, cols))
             yield pos, np.concatenate(preds, axis=2)
 
 
-def _downstream(
-    net: MicroNetwork, cache: ActivationCache, k: int, a: np.ndarray, inputs: np.ndarray
-) -> np.ndarray:
-    """Predicted class of each row of ``a``, an output of layer k whose row r
-    comes from cached input ``inputs[r]``.
+def _repeat_last(a: np.ndarray, counts: np.ndarray) -> None:
+    """Fill each row ``a[v]`` past its first ``counts[v]`` slots with a
+    repeat of the last of those; a row with none stays as it is."""
+    v, j = np.nonzero((np.arange(a.shape[1]) >= counts[:, None]) & (counts[:, None] > 0))
+    a[v, j] = a[v, counts[v] - 1]
 
-    Before each conv and FC layer, the rows whose bits equal the clean input
-    of that layer are dropped: ReLU and max-pooling mask many faults, and a
-    row the fault no longer touches takes the clean prediction. Comparing
-    bits, not values, keeps every row with a NaN or a zero of the other
-    sign. Every kernel treats batch items alone, so this changes no result.
+
+def _pool_frontier(
+    layer: MaxPool2D, pool: _PoolTables, cols: slice, pos: np.ndarray, vals: np.ndarray,
+    fmt: NumericFormat,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fault frontier of a max-pool layer's output from that of its
+    input, ``pos`` (V, P) and ``vals`` (V, P, F, n) over the cached inputs
+    ``cols``.
+
+    Only the windows that cover a changed position are recomputed, as
+    :func:`_apply_layer` computes them: the clean members from ``pool``
+    with the changed ones scattered in, quieted (:func:`_quiet`), fmax'd
+    in the (ky, kz) order of ``kernels.maxpool2d``, and cast. Each
+    variable's windows are sorted and made distinct, and each changed
+    position goes to its member slot of each window that covers it, so the
+    scatter takes O(P) index work. Windows go in chunks whose (k*k + 1, V,
+    windows, F, n) patches stay within BATCH_BYTES; slot k*k takes the
+    changed values that no window of the chunk reads.
+    """
+    n_vars = len(pos)
+    k2 = layer.kernel ** 2
+    rows = np.arange(n_vars)[:, None]
+    win = pool.cover[pos].reshape(n_vars, -1)  # (V, P*Q)
+    order = win.argsort(axis=1)
+    ws = win[rows, order]
+    rank = np.zeros_like(ws)  # of each sorted window among the variable's distinct ones
+    np.cumsum(ws[:, 1:] != ws[:, :-1], axis=1, out=rank[:, 1:])
+    counts = rank[:, -1] + 1
+    new_pos = np.empty((n_vars, int(counts.max())), dtype=np.int64)
+    new_pos[rows, rank] = ws
+    padded = counts.min() < new_pos.shape[1]
+    if padded:
+        _repeat_last(new_pos, counts)
+    slot = np.empty_like(rank)
+    slot[rows, order] = rank
+    slot = slot.reshape(pos.shape + (-1,))
+    member = pool.slot[pos]
+    changed = vals[:, :, None]  # (V, P, 1, F, n)
+    clean = pool.clean[:, cols]
+    n_win, shape = new_pos.shape[1], vals.shape[2:]
+    step = max(1, BATCH_BYTES // (8 * (k2 + 1) * n_vars * math.prod(shape)))
+    out = []
+    for a in range(0, n_win, step):
+        b = min(n_win, a + step)
+        m, s = member, slot
+        if b - a < n_win:
+            m = np.where((slot >= a) & (slot < b), member, k2)
+            s = np.clip(slot - a, 0, b - a - 1)
+        patches = np.empty((k2 + 1, n_vars, b - a) + shape, dtype=clean.dtype)
+        patches[:k2] = clean[pool.members[new_pos[:, a:b]].transpose(2, 0, 1)][:, :, :, None]
+        patches[m, rows[:, :, None], s] = changed
+        _quiet(patches, fmt, out=patches)
+        # kernels.maxpool2d starts from a copy of member 0 and fmaxes member 0 into it
+        best = np.fmax(patches[0], patches[0])
+        for j in range(1, k2):
+            np.fmax(best, patches[j], out=best)
+        out.append(_cast(best, fmt))
+    out = out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+    if padded:
+        _repeat_last(out, counts)
+    return new_pos, out
+
+
+def _frontier_predictions(
+    net: MicroNetwork, cache: ActivationCache, i: int, pos: np.ndarray, vals: np.ndarray,
+    cols: slice,
+) -> np.ndarray:
+    """Predicted class of each (var, bit, input) row of the fault frontier
+    (``pos``, ``vals``, see :func:`_faulty_outputs`) of layer i's input over
+    the cached inputs ``cols``: (V, F, n).
+
+    The frontier goes through ReLU on its values, through Flatten as it is
+    and through max-pool by :func:`_pool_frontier`. At the first conv, FC
+    or softmax layer, or the end of the net, the rows whose values differ
+    in bits from the clean ones are built dense, each a clean input with
+    the frontier scattered in, and run on (:func:`_downstream`); the others
+    take the clean prediction. Comparing bits, not values, keeps every row
+    with a NaN or a zero of the other sign.
+    """
+    fmt = net.numeric_format
+    while i < len(net.layers) and not isinstance(net.layers[i], (Conv2D, FC, Softmax)):
+        if isinstance(net.layers[i], ReLU):
+            vals = _apply_layer(net.layers[i], vals, fmt)
+        elif isinstance(net.layers[i], MaxPool2D):
+            pos, vals = _pool_frontier(net.layers[i], cache.pools[i], cols, pos, vals, fmt)
+        i += 1
+    x = cache.acts[i][cols]
+    clean = x.reshape(len(x), -1)
+    b = fmt.bits_dtype
+    n_vars, _, n_bits, n = vals.shape
+    live = np.flatnonzero(np.logical_or.reduce(
+        vals.view(b) != clean.T[pos].view(b)[:, :, None], axis=1))
+    preds = np.empty((n_vars, n_bits, n), dtype=np.intp)
+    preds[...] = cache.preds[cols]
+    if len(live):
+        # Scattering one (F, n) block per changed position into a copy of
+        # every row and then taking the live ones costs a fraction of a
+        # scatter per live row.
+        a = np.empty((n_vars, n_bits) + clean.shape, dtype=clean.dtype)
+        a[...] = clean
+        a[np.arange(n_vars)[:, None], :, :, pos] = vals
+        a = a.reshape((-1,) + x.shape[1:]).take(live, axis=0)
+        preds.put(live, _downstream(net, cache, i, a, cols.start + live % n))
+    return preds
+
+
+def _downstream(
+    net: MicroNetwork, cache: ActivationCache, i: int, a: np.ndarray, inputs: np.ndarray
+) -> np.ndarray:
+    """Predicted class of each row of ``a``, an input of layer i whose row r
+    comes from cached input ``inputs[r]`` and differs from it.
+
+    Before each later conv and FC layer, the rows whose bits equal the clean
+    input of that layer are dropped: ReLU and max-pooling mask many faults,
+    and a row the fault no longer touches takes the clean prediction.
+    Comparing bits, not values, keeps every row with a NaN or a zero of the
+    other sign. Every kernel treats batch items alone, so this changes no
+    result.
     """
     fmt = net.numeric_format
     preds = cache.preds[inputs]
     rows = np.arange(len(a))
-    for i in range(k + 1, len(net.layers)):
-        layer = net.layers[i]
-        if isinstance(layer, (Conv2D, FC)):
-            clean = cache.acts[i][inputs[rows]]
+    for j in range(i, len(net.layers)):
+        layer = net.layers[j]
+        if j > i and isinstance(layer, (Conv2D, FC)):
+            clean = cache.acts[j].take(inputs[rows], axis=0)
             differ = a.view(fmt.bits_dtype) != clean.view(fmt.bits_dtype)
-            live = differ.reshape(len(rows), -1).any(axis=1)
-            a, rows = a[live], rows[live]
+            live = np.flatnonzero(np.logical_or.reduce(differ.reshape(len(rows), -1), axis=1))
+            a, rows = a.take(live, axis=0), rows[live]
             if not len(rows):
                 return preds
-        a = _apply_layer(layer, a, fmt, cache.weights64[i])
+        a = _apply_layer(layer, a, fmt, cache.weights64[j])
     preds[rows] = _predict(a)
     return preds
 
@@ -690,12 +829,46 @@ class EvalSet:
         return len(self.inputs)
 
 
+class _PoolTables(NamedTuple):
+    """What the fault frontier needs of one max-pool layer (see
+    :func:`_pool_frontier`); positions are flat within one input or
+    output."""
+
+    clean: np.ndarray  # (positions, n_inputs): the clean input, quieted (_quiet)
+    members: np.ndarray  # (windows, k*k): each window's input positions, in (ky, kz) order
+    cover: np.ndarray  # (positions, Q): the windows covering each position, in order
+    slot: np.ndarray  # (positions, Q): its member slot in each; k*k where no window reads it
+
+
+def _pool_tables(layer: MaxPool2D, x: np.ndarray, fmt: NumericFormat) -> _PoolTables:
+    """The tables of a max-pool layer whose clean input is ``x`` (n, C, H,
+    W). A position covered by fewer than Q windows repeats its last; one
+    that no window reads names window 0 and slot k*k, which no maximum
+    reads."""
+    n, c, h, w = x.shape
+    k, s, k2 = layer.kernel, layer.stride, layer.kernel ** 2
+    ch, y, z = (g.reshape(-1, 1) for g in np.indices((c, (h - k) // s + 1, (w - k) // s + 1)))
+    ky, kz = np.divmod(np.arange(k2), k)
+    members = (ch * h + y * s + ky) * w + z * s + kz
+    at = np.argsort(members, axis=None, kind="stable")  # by position, then window
+    position = members.reshape(-1)[at]
+    counts = np.bincount(position, minlength=c * h * w)
+    cover = np.zeros((len(counts), max(1, int(counts.max()))), dtype=np.int64)
+    slot = np.full(cover.shape, k2, dtype=np.int64)
+    rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[position]
+    cover[position, rank], slot[position, rank] = np.divmod(at, k2)
+    _repeat_last(cover, counts)
+    _repeat_last(slot, counts)
+    return _PoolTables(np.ascontiguousarray(_quiet(x, fmt).reshape(n, -1).T), members, cover, slot)
+
+
 class ActivationCache:
     """Clean activations of a whole evalset, shared across fault evaluations:
     ``acts[i]`` is the input of layer i stacked over the inputs,
     (n_inputs, *shape), ``acts[-1]`` the network output and ``preds`` each
     input's predicted class. ``weights64[i]`` is layer i's weight in float64,
-    None for a layer without one."""
+    None for a layer without one; ``pools[i]`` the tables of max-pool layer
+    i (:class:`_PoolTables`), None for another layer."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
         self.weights64 = [
@@ -704,6 +877,11 @@ class ActivationCache:
         ]
         self.acts = list(_layer_outputs(net, evalset.inputs, self.weights64))
         self.preds = _predict(self.acts[-1])
+        self.pools = [
+            _pool_tables(layer, self.acts[i], net.numeric_format)
+            if isinstance(layer, MaxPool2D) else None
+            for i, layer in enumerate(net.layers)
+        ]
 
 
 def bit_accuracies(

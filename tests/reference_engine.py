@@ -160,6 +160,13 @@ def _faulty_layer_output(layer, x, fmt, var_type, var_index, bit_pos, fault):
 def reference_infer(net: MicroNetwork, x: np.ndarray, fault: FaultSpec,
                     profile: NetworkProfile):
     """Predicted class of one input under one fault, or CRASH."""
+    out = reference_output(net, x, fault, profile)
+    return CRASH if out is CRASH else _argmax(out)
+
+
+def reference_output(net: MicroNetwork, x: np.ndarray, fault: FaultSpec,
+                     profile: NetworkProfile):
+    """The network output of one input under one fault, or CRASH."""
     site = fault.site
     if fault.mode is FaultMode.CRASH:
         return CRASH
@@ -183,7 +190,7 @@ def reference_infer(net: MicroNetwork, x: np.ndarray, fault: FaultSpec,
                                      site.bit_pos, fault)
         for layer in net.layers[k + 1 :]:
             a = _apply_layer(layer, a, fmt)
-    return _argmax(a)
+    return a
 
 
 def reference_accuracy(net: MicroNetwork, evalset: EvalSet, fault: FaultSpec,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_engine import CRASH, reference_accuracy, reference_infer
+from reference_engine import CRASH, reference_accuracy, reference_infer, reference_output
 from reference_engine import _apply_layer as reference_apply_layer
 from resacc import kernels, microdnn
 from resacc.formats import NumericFormat, flip_bit_array
@@ -48,11 +48,39 @@ from resacc.toynets import (
     make_skewed_toy,
 )
 
+
+def _weights(rng, shape, fmt):
+    if fmt is NumericFormat.INT8:
+        return rng.integers(-3, 4, size=shape).astype(np.int8)
+    return rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), size=shape).astype(fmt.dtype)
+
+
+def _skip_toy(fmt):
+    """Max-pool windows that skip the conv output's last row and column."""
+    rng = np.random.default_rng(13)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (2, 1, 3, 3), fmt)), ReLU(), MaxPool2D(kernel=2, stride=2),
+        Flatten(), FC(_weights(rng, (3, 2), fmt)), Softmax(),
+    ], (1, 5, 5), fmt)
+
+
+def _stride_toy(fmt):
+    """A max-pool stride larger than its kernel: the conv output's middle
+    row and column lie between windows."""
+    rng = np.random.default_rng(14)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (1, 1, 3, 3), fmt), pad=1), ReLU(), MaxPool2D(kernel=2, stride=3),
+        Flatten(), FC(_weights(rng, (3, 4), fmt)), Softmax(),
+    ], (1, 5, 5), fmt)
+
+
 TOYS = {
     "dense": make_dense_toy,
     "conv": make_conv_toy,
     "pool": make_pool_toy,
     "skew": lambda fmt: make_skewed_toy(0, fmt=fmt),
+    "skip": _skip_toy,
+    "stride": _stride_toy,
 }
 N_INPUTS = 3
 
@@ -124,12 +152,6 @@ def test_archive_equals_reference(monkeypatch, toy, fmt, semantics):
 
 
 # --- random networks and sites -----------------------------------------------
-
-def _weights(rng, shape, fmt):
-    if fmt is NumericFormat.INT8:
-        return rng.integers(-3, 4, size=shape).astype(np.int8)
-    return rng.normal(0.0, 1.0 / np.sqrt(np.prod(shape[1:])), size=shape).astype(fmt.dtype)
-
 
 @st.composite
 def cases(draw):
@@ -205,6 +227,25 @@ def test_pool_input_flips_match_reference_on_a_full_evalset():
         want = [[reference_infer(net, x, fault(b), profile) for x in evalset.inputs]
                 for b in range(fmt.width)]
         assert np.array_equal(got, want), v
+
+
+def test_pool_input_signalling_nans_win_their_windows():
+    """A pool-input fault's windows are recomputed without quieting
+    signalling NaNs: a flipped input that is one wins its windows. These
+    four A(j) of the benchmark's pool16 subject (its 40 inputs at seed 0)
+    are what that rule gives; quieting would give 0.675, 0.325, 0.325 and
+    0.5 and change the committed benchmark digest."""
+    fmt = NumericFormat.FP16
+    net = make_pool_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 40, seed=0)
+    cache = ActivationCache(net, evalset)
+    pool = next(l for l in profile.layers if isinstance(net.layers[l.net_index], MaxPool2D))
+    fault = make_fault(SoftwareFaultSite(pool.layer_id, FFType.INPUT_ACTIVATION, 0, 14), config)
+    preds = faulty_predictions(net, fault, profile, cache, [14], [5, 23, 29, 31])
+    got = np.count_nonzero(preds[:, 0] == evalset.labels, axis=1) / evalset.size
+    assert got.tolist() == [0.65, 0.275, 0.275, 0.475]
 
 
 # --- kernels -------------------------------------------------------------------
@@ -382,6 +423,40 @@ def test_fully_corrupted_fc_input_stays_within_batch_bytes(monkeypatch, n_bits):
     assert peak < 4 * microdnn.BATCH_BYTES, peak
 
 
+@pytest.mark.parametrize("var_type", [FFType.WEIGHT, FFType.INPUT_ACTIVATION],
+                         ids=lambda t: t.name)
+def test_fully_corrupted_conv_before_an_overlapping_pool_stays_within_batch_bytes(
+        monkeypatch, var_type):
+    """Under SW semantics a conv weight fault changes a whole output channel,
+    which an overlapping max-pool then reads from every window: the pool's
+    patches must go in chunks of windows, as the recompute goes in chunks
+    of elements."""
+    fmt = NumericFormat.FP32
+    rng = np.random.default_rng(9)
+    net = MicroNetwork([
+        Conv2D(_weights(rng, (1, 1, 3, 3), fmt), pad=1), ReLU(), MaxPool2D(kernel=3, stride=1),
+        Flatten(), FC(_weights(rng, (3, 196), fmt)), Softmax(),
+    ], (1, 16, 16), fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    cache = ActivationCache(net, make_evalset(net, 8, seed=2))
+    fault = make_fault(SoftwareFaultSite(profile.layers[0].layer_id, var_type, 4, 0), config,
+                       FaultSemantics.SW)
+    bits = range(fmt.width)
+    whole = faulty_predictions(net, fault, profile, cache, bits)
+    monkeypatch.setattr(microdnn, "BATCH_BYTES", 1 << 18)
+    tracemalloc.start()
+    try:
+        chunked = faulty_predictions(net, fault, profile, cache, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(chunked, whole)
+    # Unchunked, the (k*k + 1, windows, bits, inputs) patches of one input
+    # chunk of the weight fault take 10 x 196 x 32 x 4 x 8 B = 2 MiB.
+    assert peak < 4 * microdnn.BATCH_BYTES, peak
+
+
 # --- batches of variables ------------------------------------------------------
 
 def _overlap_toy(fmt):
@@ -397,7 +472,7 @@ def _overlap_toy(fmt):
 
 @pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
 @pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
-@pytest.mark.parametrize("toy", ["dense", "pool", "skew", "overlap"])
+@pytest.mark.parametrize("toy", ["dense", "pool", "skew", "overlap", "skip", "stride"])
 def test_batches_of_variables_equal_one_variable_at_a_time(monkeypatch, toy, fmt, semantics):
     """A class evaluated in batches of variables gives, bit for bit, the
     predictions of each variable evaluated alone. Small BATCH_BYTES values
@@ -551,6 +626,88 @@ def test_fully_masked_batch_gives_clean_predictions(monkeypatch):
     got, rows, cache = _masked_run(monkeypatch, 2, range(23))
     assert rows == []
     assert np.array_equal(got, np.broadcast_to(cache.preds, got.shape))
+
+
+# --- the fault frontier ---------------------------------------------------------
+
+def _unread(net, pool_index):
+    """Flat positions of the max-pool input that no window reads."""
+    layer = net.layers[pool_index]
+    c, h, w = net.input_shape_of(pool_index)
+    _, oh, ow = net.output_shape_of(pool_index)
+    read = np.zeros((c, h, w), dtype=bool)
+    for y in range(oh):
+        for z in range(ow):
+            read[:, y * layer.stride : y * layer.stride + layer.kernel,
+                 z * layer.stride : z * layer.stride + layer.kernel] = True
+    return np.flatnonzero(~read)
+
+
+@pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
+@pytest.mark.parametrize("toy", ["skip", "stride"])
+def test_elements_no_window_reads_give_the_clean_prediction(monkeypatch, toy, fmt):
+    """Flipping any bit of a conv output or ReLU element that no max-pool
+    window reads changes no prediction, and no row reaches the FC layer."""
+    net = TOYS[toy](fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    cache = ActivationCache(net, make_evalset(net, 4, seed=6))
+    unread = _unread(net, 2)
+    assert len(unread)
+    rows = _rows_into_fc(monkeypatch)
+    for layer_id, var_type in [(0, FFType.OUTPUT_ACTIVATION), (1, FFType.INPUT_ACTIVATION),
+                               (1, FFType.OUTPUT_ACTIVATION)]:
+        fault = make_fault(SoftwareFaultSite(layer_id, var_type, 0, 0), config)
+        got = faulty_predictions(net, fault, profile, cache, range(fmt.width), unread)
+        assert np.array_equal(got, np.broadcast_to(cache.preds, got.shape)), (layer_id, var_type)
+    assert rows == []
+
+
+def test_pool_sees_no_faulty_row_and_fc_only_changed_ones(monkeypatch):
+    """After a conv, ReLU-input or ReLU-output fault on the pool toy, only
+    the max-pool windows that cover a changed element are recomputed, so
+    ``kernels.maxpool2d`` never sees a faulty row; ``kernels.fc`` receives
+    exactly the rows whose pooled values differ in bits from the clean ones,
+    as the reference engine computes them."""
+    fmt = NumericFormat.FP32
+    net = make_pool_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 4, seed=2)
+    cache = ActivationCache(net, evalset)
+    fc = next(i for i, layer in enumerate(net.layers) if isinstance(layer, FC))
+    head = MicroNetwork(net.layers[:fc], net.input_shape, fmt)
+    head_profile = derive_profile(head, config)
+    clean_pool_rows = {r.tobytes() for r in cache.acts[2] * np.float32(1.0)}
+    bits = range(fmt.width)
+    seen = {"maxpool2d": [], "fc": []}
+    for name in seen:
+        kernel = getattr(kernels, name)
+
+        def spy(x, *args, kernel=kernel, rows=seen[name]):
+            rows.extend(x)
+            return kernel(x, *args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    for layer_id, var_type in [(0, FFType.WEIGHT), (0, FFType.INPUT_ACTIVATION),
+                               (0, FFType.OUTPUT_ACTIVATION), (1, FFType.INPUT_ACTIVATION),
+                               (1, FFType.OUTPUT_ACTIVATION)]:
+        vs = range(0, profile.var_count(layer_id, var_type), 3)
+        for rows in seen.values():
+            rows.clear()
+        faulty_predictions(net, make_fault(SoftwareFaultSite(layer_id, var_type, 0, 0), config),
+                           profile, cache, bits, vs)
+        assert all(r.tobytes() in clean_pool_rows for r in seen["maxpool2d"]), var_type
+        got = sorted(r.tobytes() for r in seen["fc"])
+        want = []  # the reference engine's own kernel calls come after these
+        for v in vs:
+            for b in bits:
+                f = make_fault(SoftwareFaultSite(layer_id, var_type, v, b), config)
+                for i, x in enumerate(evalset.inputs):
+                    out = reference_output(head, x, f, head_profile)
+                    if out.tobytes() != cache.acts[fc][i].tobytes():  # bits differ
+                        want.append(out.astype(np.float64).tobytes())
+        assert got == sorted(want), (layer_id, var_type)
 
 
 # --- FP16 elementwise layers ---------------------------------------------------
