@@ -318,10 +318,7 @@ def cmd_estimate(args, out: RunOutputs) -> int:
     ground_truth = criteria = None
     if args.poc:
         criteria = _poc_criteria(args)
-        uf_dict = {l.layer_id: l.utilization for l in profile.layers} if uf else None
-        result, archive = exhaustive_ra(
-            profile, config, net, evalset, semantics, uf=uf_dict
-        )
+        result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf)
         ground_truth = result.ra
         evaluator = archive.evaluator
     else:
@@ -362,8 +359,7 @@ def cmd_compare(args, out: RunOutputs) -> int:
         raise UsageError("--seeds must name at least one seed")
     strategies = [SamplingStrategy(s) for s in args.strategies.split(",")]
     criteria = _poc_criteria(args)
-    uf_dict = {l.layer_id: l.utilization for l in profile.layers} if uf else None
-    result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf_dict)
+    result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf)
     summary = []
     per_strategy: dict[str, list] = {s.value: [] for s in strategies}
     for strategy in strategies:

@@ -36,10 +36,12 @@ from typing import Callable
 
 import numpy as np
 
-from .formats import default_bp_drop
+from .formats import NumericFormat, default_bp_drop
 from .probtransfer import (
+    Evaluator,
     RAResult,
     SiteProbabilityTable,
+    UFMap,
     build_table,
     class_accuracies,
     gather_accuracies,
@@ -55,9 +57,6 @@ from .profile import (
     SoftwareFaultSite,
     fault_sites,
 )
-
-Evaluator = Callable[[SoftwareFaultSite], float]
-UFMap = Callable[[int], float]
 
 _FFTYPES = list(FFType)
 
@@ -217,12 +216,11 @@ def build_pdf(
 
 
 def default_bp_drop_for(table: SiteProbabilityTable) -> dict[int, float]:
-    from .formats import NumericFormat
-
-    fmt = {32: NumericFormat.FP32, 16: NumericFormat.FP16, 8: NumericFormat.INT8}[
-        table.bit_width
-    ]
-    return default_bp_drop(fmt)
+    """`default_bp_drop` of the numeric format as wide as `table`'s bits."""
+    for fmt in NumericFormat:
+        if fmt.width == table.bit_width:
+            return default_bp_drop(fmt)
+    raise ValueError(f"no numeric format is {table.bit_width} bits wide")
 
 
 def build_zero_variance_pdf(

@@ -47,26 +47,28 @@ _BITS = {
 _EXP_FIELD = {NumericFormat.FP32: (23, 8), NumericFormat.FP16: (10, 5)}
 
 
-def flip_bit(value, bit_pos: int, fmt: NumericFormat):
-    """Toggle one bit of the stored pattern of a scalar, returning a scalar.
+def flip_bits(values, bits, fmt: NumericFormat) -> np.ndarray:
+    """``values`` stored in ``fmt`` with one bit of the pattern toggled, for
+    each of ``bits`` in turn: (len(bits), *shape), one XOR for all of them.
 
     The result may be Inf/NaN for float formats; it propagates through
     subsequent arithmetic under the usual IEEE rules.
     """
-    if not 0 <= bit_pos < fmt.width:
-        raise ValueError(f"bit_pos {bit_pos} out of range for {fmt.value}")
-    v = np.asarray(value, dtype=fmt.dtype)
-    bits = v.view(fmt.bits_dtype) ^ fmt.bits_dtype.type(1 << bit_pos)
-    return bits.view(fmt.dtype)[()]
+    if bits and not (0 <= min(bits) and max(bits) < fmt.width):
+        raise ValueError(f"bit positions {bits} out of range for {fmt.value}")
+    v = np.asarray(values, dtype=fmt.dtype)
+    masks = np.array([1 << b for b in bits], dtype=fmt.bits_dtype)
+    return (v.view(fmt.bits_dtype) ^ masks.reshape((-1,) + (1,) * v.ndim)).view(fmt.dtype)
+
+
+def flip_bit(value, bit_pos: int, fmt: NumericFormat):
+    """:func:`flip_bits` of a scalar and one bit, returning a scalar."""
+    return flip_bits(value, [bit_pos], fmt)[0]
 
 
 def flip_bit_array(values: np.ndarray, bit_pos: int, fmt: NumericFormat) -> np.ndarray:
-    """Vectorised :func:`flip_bit` over an array (used by tests and tools)."""
-    if not 0 <= bit_pos < fmt.width:
-        raise ValueError(f"bit_pos {bit_pos} out of range for {fmt.value}")
-    v = np.ascontiguousarray(values, dtype=fmt.dtype)
-    bits = v.view(fmt.bits_dtype) ^ fmt.bits_dtype.type(1 << bit_pos)
-    return bits.view(fmt.dtype)
+    """:func:`flip_bits` of an array and one bit."""
+    return flip_bits(values, [bit_pos], fmt)[0]
 
 
 def bit_field(fmt: NumericFormat, bit_pos: int) -> str:

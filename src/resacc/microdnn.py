@@ -14,21 +14,23 @@ three corruption semantics:
 
 Faults are evaluated a chunk of variables of one (layer, type) class at a
 time, over every requested bit of each and every input of the evalset in
-one batch (:func:`prediction_batches`, :func:`faulty_predictions`). The
-clean activations of the whole evalset, the weights in float64 and the
-window tables of each max-pool layer are computed once
-(:class:`ActivationCache`). Only the elements of the faulted layer's output
-that read a flipped value inside its reuse window are recomputed, those of
-all the chunk's variables in one sum. They form the fault frontier: per
-variable, the positions of the elements it changed and their values under
-every bit and input. The frontier, not whole rows, goes through the layers
-that sum nothing: ReLU on its values, Flatten as it is, and max-pool by
-recomputing only the windows that cover a changed position. At the first
-conv, FC or softmax layer (or the end of the net), only the vars x bits x
-inputs rows whose values differ in bits from the clean ones are built dense
-and run on as one forward; the rest take the clean prediction. Before each
-later conv and FC layer of that forward, the rows whose bits equal the
-layer's cached clean input are dropped too. Local-control variables are
+one batch (:func:`prediction_batches`, :func:`faulty_predictions`); the
+accuracy of one site (:func:`accuracy`) counts the correct labels of such a
+batch. The flipped values come from ``formats.flip_bits``. The clean
+activations of the whole evalset, the weights in float64 and the window
+tables of each max-pool layer are computed once (:class:`ActivationCache`).
+Only the elements of the faulted layer's output that read a flipped value
+inside its reuse window are recomputed, those of all the chunk's variables
+in one sum. They form the fault frontier: per variable, the positions of
+the elements it changed and their values under every bit and input. The
+frontier, not whole rows, goes through the layers that sum nothing: ReLU on
+its values, Flatten as it is, and max-pool by recomputing only the windows
+that cover a changed position. At the first conv, FC or softmax layer (or
+the end of the net), only the vars x bits x inputs rows whose values differ
+in bits from the clean ones are built dense and run on to the argmax in one
+loop (:func:`_frontier_predictions`); the rest take the clean prediction.
+Before each later conv and FC layer of that loop, the rows whose bits equal
+the layer's cached clean input are dropped too. Local-control variables are
 grouped by the layer their hashed weight lands in. A chunk holds as many
 variables as keep its widest float64 activation within BATCH_BYTES; a
 single variable too large for that goes in chunks of inputs, a recompute in
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .formats import NumericFormat
+from .formats import NumericFormat, flip_bits
 from .profile import (
     CONTROL_LAYER,
     AcceleratorConfig,
@@ -118,7 +120,7 @@ class MicroNetwork:
     layers: list[Layer]
     input_shape: tuple[int, ...]
     numeric_format: NumericFormat
-    _shapes: list[tuple[int, ...]] = field(default_factory=list, repr=False)
+    _shapes: list[tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._shapes = [tuple(self.input_shape)]
@@ -342,37 +344,26 @@ CRASHED = -1  # the prediction recorded for an inference the fault crashed
 BATCH_BYTES = 1 << 20
 
 
-def total_weight_count(net: MicroNetwork) -> int:
-    return sum(l.weight.size for l in net.layers if hasattr(l, "weight"))
-
-
-def _local_control_target(
-    net: MicroNetwork, profile: NetworkProfile, var_index: int
-) -> tuple[int, int]:
-    """Deterministic mapping from a local-control variable to the datapath
-    weight it corrupts: a Knuth-hashed index into the flattened weights."""
-    total = total_weight_count(net)
+def _local_control_targets(
+    net: MicroNetwork, profile: NetworkProfile, var_indices
+) -> tuple[np.ndarray, np.ndarray]:
+    """The datapath weight each local-control variable of ``var_indices``
+    corrupts, as (layer ids, flat weight indices): variable v takes weight
+    (v * 2654435761) mod W of the network's W weights, a Knuth
+    multiplicative hash, counted through the profile's layers in order."""
+    total = sum(l.weight.size for l in net.layers if hasattr(l, "weight"))
     if total == 0:
         raise ValueError("network has no weights for local-control mapping")
-    gidx = (var_index * 2654435761) % total
-    for layer_stats in profile.layers:
-        layer = net.layers[layer_stats.net_index]
-        w = getattr(layer, "weight", None)
-        if w is None:
-            continue
-        if gidx < w.size:
-            return layer_stats.layer_id, gidx
-        gidx -= w.size
-    raise AssertionError("unreachable")
-
-
-def _flipped(values: np.ndarray, bits: list[int], fmt: NumericFormat) -> np.ndarray:
-    """``values`` with one bit flipped, for each of ``bits``: (F, *shape)."""
-    if bits and not (0 <= min(bits) and max(bits) < fmt.width):
-        raise ValueError(f"bit positions {bits} out of range for {fmt.value}")
-    masks = np.array([1 << b for b in bits], dtype=fmt.bits_dtype)
-    masks = masks.reshape((-1,) + (1,) * values.ndim)
-    return (values.view(fmt.bits_dtype) ^ masks).view(fmt.dtype)
+    held = [(l.layer_id, net.layers[l.net_index].weight.size) for l in profile.layers
+            if hasattr(net.layers[l.net_index], "weight")]
+    layer_ids, sizes = np.array(held, dtype=np.int64).reshape(-1, 2).T
+    ends = np.cumsum(sizes)
+    # v is reduced first, so the product stays below W**2 and inside int64.
+    gidx = np.asarray(var_indices, dtype=np.int64) % total * (2654435761 % total) % total
+    at = np.searchsorted(ends, gidx, side="right")
+    if np.any(at == len(ends)):
+        raise ValueError("the profile's layers hold fewer weights than the network")
+    return layer_ids[at], gidx - (ends - sizes)[at]
 
 
 def _check_vars(vs: np.ndarray, count: int, var_type: FFType) -> None:
@@ -445,12 +436,12 @@ def _faulty_outputs(
     if var_type is FFType.OUTPUT_ACTIVATION:
         values = clean.reshape(n, -1)
         _check_vars(vs, values.shape[1], var_type)
-        return vs[:, None], _flipped(values[:, vs].T, bits, fmt).swapaxes(0, 1)[:, None]
+        return vs[:, None], flip_bits(values[:, vs].T, bits, fmt).swapaxes(0, 1)[:, None]
     if var_type is FFType.INPUT_ACTIVATION:
         _check_vars(vs, x[0].size, var_type)
-        xf = _flipped(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
+        xf = flip_bits(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
         if isinstance(layer, ReLU):
-            return vs[:, None], np.where(xf < 0, xf.dtype.type(0), xf)[:, None]
+            return vs[:, None], _apply_layer(layer, xf, fmt)[:, None]
         xf64 = xf.astype(np.float64)
 
     # Each branch names the output elements to recompute (elems), the
@@ -462,7 +453,7 @@ def _faulty_outputs(
         if w64 is None:
             raise ValueError("weight fault on a layer without weights")
         _check_vars(vs, w64.size, var_type)
-        wf = _flipped(layer.weight.reshape(-1)[vs], bits, fmt).astype(np.float64)  # (F, V)
+        wf = flip_bits(layer.weight.reshape(-1)[vs], bits, fmt).astype(np.float64)  # (F, V)
         if isinstance(layer, FC):
             # Each FC weight is read once per inference.
             elems, hit_k = np.divmod(vs, w64.shape[1])
@@ -610,10 +601,9 @@ def prediction_batches(
         return
     var_type = fault.site.var_type
     if var_type is FFType.CONTROL_LOCAL:
-        targets = np.array([_local_control_target(net, profile, v) for v in vs.tolist()],
-                           dtype=np.int64).reshape(-1, 2)
-        groups = [(lid, np.flatnonzero(targets[:, 0] == lid)) for lid in np.unique(targets[:, 0])]
-        var_type, vs = FFType.WEIGHT, targets[:, 1]
+        layer_ids, vs = _local_control_targets(net, profile, vs)
+        groups = [(lid, np.flatnonzero(layer_ids == lid)) for lid in np.unique(layer_ids)]
+        var_type = FFType.WEIGHT
     elif fault.site.layer_id == CONTROL_LAYER:
         raise ValueError("control-global sites must carry CRASH mode")
     else:
@@ -725,9 +715,12 @@ def _frontier_predictions(
     and through max-pool by :func:`_pool_frontier`. At the first conv, FC
     or softmax layer, or the end of the net, the rows whose values differ
     in bits from the clean ones are built dense, each a clean input with
-    the frontier scattered in, and run on (:func:`_downstream`); the others
-    take the clean prediction. Comparing bits, not values, keeps every row
-    with a NaN or a zero of the other sign.
+    the frontier scattered in, and run on to the argmax; the others take
+    the clean prediction. Before each later conv and FC layer, the rows
+    whose bits equal that layer's clean input are dropped the same way:
+    ReLU and max-pooling mask many faults. Comparing bits, not values,
+    keeps every row with a NaN or a zero of the other sign. Every kernel
+    treats batch items alone, so dropping rows changes no result.
     """
     fmt = net.numeric_format
     while i < len(net.layers) and not isinstance(net.layers[i], (Conv2D, FC, Softmax)):
@@ -744,45 +737,26 @@ def _frontier_predictions(
         vals.view(b) != clean.T[pos].view(b)[:, :, None], axis=1))
     preds = np.empty((n_vars, n_bits, n), dtype=np.intp)
     preds[...] = cache.preds[cols]
-    if len(live):
-        # Scattering one (F, n) block per changed position into a copy of
-        # every row and then taking the live ones costs a fraction of a
-        # scatter per live row.
-        a = np.empty((n_vars, n_bits) + clean.shape, dtype=clean.dtype)
-        a[...] = clean
-        a[np.arange(n_vars)[:, None], :, :, pos] = vals
-        a = a.reshape((-1,) + x.shape[1:]).take(live, axis=0)
-        preds.put(live, _downstream(net, cache, i, a, cols.start + live % n))
-    return preds
-
-
-def _downstream(
-    net: MicroNetwork, cache: ActivationCache, i: int, a: np.ndarray, inputs: np.ndarray
-) -> np.ndarray:
-    """Predicted class of each row of ``a``, an input of layer i whose row r
-    comes from cached input ``inputs[r]`` and differs from it.
-
-    Before each later conv and FC layer, the rows whose bits equal the clean
-    input of that layer are dropped: ReLU and max-pooling mask many faults,
-    and a row the fault no longer touches takes the clean prediction.
-    Comparing bits, not values, keeps every row with a NaN or a zero of the
-    other sign. Every kernel treats batch items alone, so this changes no
-    result.
-    """
-    fmt = net.numeric_format
-    preds = cache.preds[inputs]
-    rows = np.arange(len(a))
+    if not len(live):
+        return preds
+    # Scattering one (F, n) block per changed position into a copy of every
+    # row and then taking the live ones costs a fraction of a scatter per
+    # live row.
+    a = np.empty((n_vars, n_bits) + clean.shape, dtype=clean.dtype)
+    a[...] = clean
+    a[np.arange(n_vars)[:, None], :, :, pos] = vals
+    a = a.reshape((-1,) + x.shape[1:]).take(live, axis=0)
+    inputs = cols.start + live % n  # the cached input of each live row
     for j in range(i, len(net.layers)):
         layer = net.layers[j]
         if j > i and isinstance(layer, (Conv2D, FC)):
-            clean = cache.acts[j].take(inputs[rows], axis=0)
-            differ = a.view(fmt.bits_dtype) != clean.view(fmt.bits_dtype)
-            live = np.flatnonzero(np.logical_or.reduce(differ.reshape(len(rows), -1), axis=1))
-            a, rows = a.take(live, axis=0), rows[live]
-            if not len(rows):
+            differ = a.view(b) != cache.acts[j].take(inputs, axis=0).view(b)
+            keep = np.flatnonzero(np.logical_or.reduce(differ.reshape(len(a), -1), axis=1))
+            a, live, inputs = a.take(keep, axis=0), live[keep], inputs[keep]
+            if not len(live):
                 return preds
         a = _apply_layer(layer, a, fmt, cache.weights64[j])
-    preds[rows] = _predict(a)
+    preds.put(live, _predict(a))
     return preds
 
 
@@ -884,21 +858,6 @@ class ActivationCache:
         ]
 
 
-def bit_accuracies(
-    net: MicroNetwork,
-    evalset: EvalSet,
-    fault: FaultSpec,
-    profile: NetworkProfile,
-    cache: ActivationCache,
-    bits,
-) -> np.ndarray:
-    """Accuracy with the fault's variable flipped, for each of ``bits``
-    (see :func:`faulty_predictions`). A crashed inference counts as
-    incorrect."""
-    preds = faulty_predictions(net, fault, profile, cache, bits)
-    return np.count_nonzero(preds == evalset.labels, axis=1) / evalset.size
-
-
 def accuracy(
     net: MicroNetwork,
     evalset: EvalSet,
@@ -910,11 +869,11 @@ def accuracy(
     is given. A crashed inference counts as incorrect."""
     if fault is None:
         preds = _predict(_forward(net, evalset.inputs))
-        return np.count_nonzero(preds == evalset.labels) / evalset.size
-    if fault.mode is FaultMode.CRASH:
+    elif fault.mode is FaultMode.CRASH:
         return 0.0
-    if profile is None:
+    elif profile is None:
         raise ValueError("faulty accuracy requires the network profile")
-    if cache is None:
-        cache = ActivationCache(net, evalset)
-    return float(bit_accuracies(net, evalset, fault, profile, cache, [fault.site.bit_pos])[0])
+    else:
+        cache = ActivationCache(net, evalset) if cache is None else cache
+        preds = faulty_predictions(net, fault, profile, cache, [fault.site.bit_pos])
+    return np.count_nonzero(preds == evalset.labels) / evalset.size

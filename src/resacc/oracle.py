@@ -23,7 +23,13 @@ from .microdnn import (
     make_fault,
     prediction_batches,
 )
-from .probtransfer import RAResult, SiteProbabilityTable, build_table, ra_from_accuracies
+from .probtransfer import (
+    RAResult,
+    UFMap,
+    build_table,
+    ra_from_accuracies,
+    sequential_sum,
+)
 from .profile import (
     CONTROL_LAYER,
     CONTROL_TYPES,
@@ -87,7 +93,7 @@ def exhaustive_ra(
     net: MicroNetwork,
     evalset: EvalSet,
     semantics: FaultSemantics = FaultSemantics.TRUE,
-    uf: dict[int, float] | None = None,
+    uf: UFMap | None = None,
     max_inferences: int = 10**6,
     progress=None,
 ) -> tuple[RAResult, SiteArchive]:
@@ -98,6 +104,7 @@ def exhaustive_ra(
     given, is called as progress(sites_done, sites_total) after each chunk,
     with `sites_done` strictly increasing up to `sites_total`. Crash classes
     cost no inference (their accuracy is 0 by definition).
+    `uf` maps a layer id to its utilization, as in `ra_expected`.
     Raises ScaleGuardExceeded when sites x evalset would exceed
     `max_inferences`.
     """
@@ -132,10 +139,8 @@ def exhaustive_ra(
             if progress is not None:
                 progress(done, n_eval_sites)
     archive = SiteArchive(entries=entries, sa=sa, semantics=semantics)
-    uf_fn = None if uf is None else (lambda lid: uf.get(lid, 1.0))
     accs = [entries[(c.layer_id, c.var_type)] for c in table.classes]
-    result = ra_from_accuracies(table, accs, sa, uf_fn)
-    return result, archive
+    return ra_from_accuracies(table, accs, sa, uf), archive
 
 
 def live_evaluator(
@@ -215,17 +220,6 @@ class GridModel:
         ctl_rows = sum(self.rows[t] for t in CONTROL_TYPES)
         return dp_rows * self.total_cols + ctl_rows * self.total_cols
 
-    def occupied_classes(self) -> list[tuple[int, FFType]]:
-        out = []
-        for layer in self.profile.layers:
-            for t in DATAPATH_TYPES:
-                if layer.var_count.get(t, 0) >= 1 and self.rows[t] > 0:
-                    out.append((layer.layer_id, t))
-        for t in CONTROL_TYPES:
-            if self.profile.control_var_count.get(t, 0) >= 1 and self.rows[t] > 0:
-                out.append((CONTROL_LAYER, t))
-        return out
-
 
 @dataclass
 class GridTally:
@@ -254,10 +248,8 @@ def grid_simulate(
     if grid.cell_count() <= 0:
         raise ValueError("empty grid")
     weights = raw_fit_weights or grid.config.raw_fit
-    outcomes: list[tuple[int, FFType] | None] = []
-    probs: list[float] = []
-    # cell mass of a (layer, type) block = rows * cols * weight
-    mass_total = 0.0
+    # cell mass of a (layer, type) block = rows * cols * weight; None for
+    # idle or unoccupied cells
     blocks: list[tuple[tuple[int, FFType] | None, float]] = []
     for layer in grid.profile.layers:
         ncols = grid.cols[layer.layer_id]
@@ -279,18 +271,15 @@ def grid_simulate(
             blocks.append(((CONTROL_LAYER, t), w))
         else:
             blocks.append((None, w))
-    for key, w in blocks:
-        outcomes.append(key)
-        probs.append(w)
-        mass_total += w
+    mass = np.array([w for _, w in blocks], dtype=np.float64)
+    mass_total = sequential_sum(mass)
     if mass_total <= 0:
         raise ValueError("grid carries no probability mass")
-    p = np.asarray(probs) / mass_total
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(pin_count, p)
+    draws = rng.multinomial(pin_count, mass / mass_total)
     counts: dict[tuple[int, FFType], int] = {}
     idle = 0
-    for key, n in zip(outcomes, draws):
+    for (key, _), n in zip(blocks, draws):
         if key is None:
             idle += int(n)
         else:

@@ -32,7 +32,8 @@ from .profile import (
     fault_sites,
 )
 
-Accuracies = Callable[[SoftwareFaultSite], float]
+Evaluator = Callable[[SoftwareFaultSite], float]  # a site's accuracy A(j)
+UFMap = Callable[[int], float]  # a layer's utilization, by layer id
 
 
 def type_prob(config: AcceleratorConfig, t: FFType) -> float:
@@ -153,7 +154,7 @@ _has_accuracy = partial(is_not, None)
 
 
 def gather_accuracies(
-    accuracies: Accuracies,
+    accuracies: Evaluator,
     sites: Iterable[SoftwareFaultSite],
     count: int,
     site_at: Callable[[int], SoftwareFaultSite],
@@ -171,7 +172,7 @@ def gather_accuracies(
 
 
 def class_accuracies(
-    classes: list[ProbClass], bit_width: int, accuracies: Accuracies
+    classes: list[ProbClass], bit_width: int, accuracies: Evaluator
 ) -> list[np.ndarray]:
     """A(j) of every site of `classes`, one (var_count, bit_width) float
     array per class. The evaluator is called once per site, class by class,
@@ -207,7 +208,7 @@ def ra_from_accuracies(
     table: SiteProbabilityTable,
     accs: list[np.ndarray],
     sa: float,
-    uf: Callable[[int], float] | None = None,
+    uf: UFMap | None = None,
 ) -> RAResult:
     """`ra_expected` over A(j) already gathered by `class_accuracies` for
     the classes of `table`, in its class order."""
@@ -223,9 +224,9 @@ def ra_from_accuracies(
 
 def ra_expected(
     table: SiteProbabilityTable,
-    accuracies: Accuracies,
+    accuracies: Evaluator,
     sa: float,
-    uf: Callable[[int], float] | None = None,
+    uf: UFMap | None = None,
 ) -> RAResult:
     """Exact expected accuracy under one fault: sum over sites of
     p(j) * (UF(j) * A(j) + (1 - UF(j)) * SA).

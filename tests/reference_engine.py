@@ -28,7 +28,7 @@ from resacc.microdnn import (
     Softmax,
     _cast,
     _conv_out_hw,
-    _local_control_target,
+    _local_control_targets,
     _window,
 )
 from resacc.profile import CONTROL_LAYER, FFType, NetworkProfile, SoftwareFaultSite
@@ -171,8 +171,8 @@ def reference_output(net: MicroNetwork, x: np.ndarray, fault: FaultSpec,
     if fault.mode is FaultMode.CRASH:
         return CRASH
     if site.var_type is FFType.CONTROL_LOCAL:
-        layer_id, widx = _local_control_target(net, profile, site.var_index)
-        site = SoftwareFaultSite(layer_id, FFType.WEIGHT, widx, site.bit_pos)
+        layer_ids, widx = _local_control_targets(net, profile, [site.var_index])
+        site = SoftwareFaultSite(int(layer_ids[0]), FFType.WEIGHT, int(widx[0]), site.bit_pos)
     if site.layer_id == CONTROL_LAYER:
         raise ValueError("control-global sites must carry CRASH mode")
     fmt = net.numeric_format

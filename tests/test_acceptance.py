@@ -214,7 +214,7 @@ def test_criterion_07_utilization_correction():
     ctx = build_context(make_dense_toy(seed=3), make_config(), utilization=util)
     oracle_res, arch = exhaustive_ra(
         ctx.profile, ctx.config, ctx.net, ctx.evalset, FaultSemantics.TRUE,
-        uf=util,
+        uf=lambda lid: util.get(lid, 1.0),
     )
     pdf = build_pdf(SamplingStrategy.IMPORTANCE, ctx.table, ctx.profile)
     est_actual = estimate_ra(

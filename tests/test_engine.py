@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from reference_engine import CRASH, reference_accuracy, reference_infer, reference_output
 from reference_engine import _apply_layer as reference_apply_layer
 from resacc import kernels, microdnn
-from resacc.formats import NumericFormat, flip_bit_array
+from resacc.formats import NumericFormat
 from resacc.microdnn import (
     CRASHED,
     FC,
@@ -32,7 +32,6 @@ from resacc.microdnn import (
     MicroNetwork,
     ReLU,
     Softmax,
-    bit_accuracies,
     faulty_predictions,
     make_fault,
 )
@@ -99,14 +98,14 @@ def _batched_archive(net, evalset, profile, config, semantics):
     """Batched A(j) arrays per (layer, type) class."""
     classes, bit_width = _classes(profile, config, semantics)
     cache = ActivationCache(net, evalset)
+
+    def accuracies(c, v):
+        fault = make_fault(SoftwareFaultSite(c.layer_id, c.var_type, v, 0), config, semantics)
+        preds = faulty_predictions(net, fault, profile, cache, range(bit_width))
+        return np.count_nonzero(preds == evalset.labels, axis=1) / evalset.size
+
     return {
-        (c.layer_id, c.var_type): np.array([
-            bit_accuracies(net, evalset,
-                           make_fault(SoftwareFaultSite(c.layer_id, c.var_type, v, 0), config,
-                                      semantics),
-                           profile, cache, range(bit_width))
-            for v in range(c.var_count)
-        ])
+        (c.layer_id, c.var_type): np.array([accuracies(c, v) for v in range(c.var_count)])
         for c in classes
     }
 
@@ -334,26 +333,6 @@ def test_sum_rows_adds_in_row_order(columns, n_rows):
         assert np.array_equal(got[:, 0, 0], 0.0 + want)
 
 
-@pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
-def test_flipped_equals_one_flip_per_bit(fmt):
-    """One XOR for all bits gives what ``flip_bit_array`` gives bit by bit,
-    for every bit pattern class (NaN, Inf and subnormal patterns included)
-    and for a strided view, as the engine passes a column of the cache."""
-    rng = np.random.default_rng(fmt.width)
-    patterns = rng.integers(0, 1 << fmt.width, size=(64, 3), dtype=np.uint64)
-    values = patterns.astype(fmt.bits_dtype).view(fmt.dtype)[:, 1]
-    bits = list(range(fmt.width))
-    got = microdnn._flipped(values, bits, fmt)
-    want = np.stack([flip_bit_array(values, b, fmt) for b in bits])
-    assert got.dtype == fmt.dtype and got.shape == (fmt.width, 64)
-    assert np.array_equal(got.view(fmt.bits_dtype), want.view(fmt.bits_dtype))
-    assert np.array_equal(microdnn._flipped(values[:1], [3, 0], fmt).view(fmt.bits_dtype),
-                          want[[3, 0], :1].view(fmt.bits_dtype))
-    for bad in ([fmt.width], [0, -1]):
-        with pytest.raises(ValueError):
-            microdnn._flipped(values, bad, fmt)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2),
        st.sampled_from([1 << 8, kernels.IM2COL_BYTES]))
@@ -455,6 +434,46 @@ def test_fully_corrupted_conv_before_an_overlapping_pool_stays_within_batch_byte
     # Unchunked, the (k*k + 1, windows, bits, inputs) patches of one input
     # chunk of the weight fault take 10 x 196 x 32 x 4 x 8 B = 2 MiB.
     assert peak < 4 * microdnn.BATCH_BYTES, peak
+
+
+# --- local-control mapping -----------------------------------------------------
+
+def _hashed_weight(net, profile, var_index):
+    """The documented local-control rule in Python ints: weight (v *
+    2654435761) mod W of the network's W weights, counted through the
+    profile's weight layers in order."""
+    layers = [(l.layer_id, net.layers[l.net_index].weight.size) for l in profile.layers
+              if hasattr(net.layers[l.net_index], "weight")]
+    g = var_index * 2654435761 % sum(size for _, size in layers)
+    for layer_id, size in layers:
+        if g < size:
+            return layer_id, g
+        g -= size
+    raise AssertionError("the profile's layers hold fewer weights than the network")
+
+
+def _four_weight_layer_net(fmt):
+    rng = np.random.default_rng(15)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (2, 1, 3, 3), fmt)), ReLU(), Conv2D(_weights(rng, (3, 2, 2, 2), fmt)),
+        Flatten(), FC(_weights(rng, (5, 27), fmt)), ReLU(), FC(_weights(rng, (3, 5), fmt)),
+        Softmax(),
+    ], (1, 6, 6), fmt)
+
+
+@pytest.mark.parametrize("make_net", [make_pool_toy, _four_weight_layer_net],
+                         ids=["pool", "four_weight_layers"])
+def test_local_control_targets_follow_the_knuth_hash(make_net):
+    """Every local-control variable, and var indices whose product with the
+    hash constant passes 2**63, land where the Python-int rule puts them."""
+    net = make_net(NumericFormat.FP32)
+    profile = derive_profile(net, make_config())
+    count = profile.control_var_count[FFType.CONTROL_LOCAL]
+    vs = list(range(count)) + [2**40, 2**40 + 12_345, 2**62 + 3, 2**63 - 1]
+    assert vs[-4] * 2654435761 > 2**63
+    layer_ids, widx = microdnn._local_control_targets(net, profile, vs)
+    assert list(zip(layer_ids.tolist(), widx.tolist())) == [
+        _hashed_weight(net, profile, v) for v in vs]
 
 
 # --- batches of variables ------------------------------------------------------

@@ -120,6 +120,12 @@ def test_importance_bp_requires_sa(dense_ctx):
         build_pdf(SamplingStrategy.IMPORTANCE_BP, dense_ctx.table, dense_ctx.profile)
 
 
+def test_importance_bp_names_a_bit_width_no_format_has(dense_ctx):
+    table = dataclasses.replace(dense_ctx.table, bit_width=12)
+    with pytest.raises(ValueError, match="12 bits"):
+        build_pdf(SamplingStrategy.IMPORTANCE_BP, table, dense_ctx.profile, sa=1.0)
+
+
 def test_importance_bp_downweights_high_impact_bits(dense_ctx):
     """Bits predicted to hurt accuracy most get less sampling weight than the
     plain probability-proportional PDF gives them."""

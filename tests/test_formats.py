@@ -11,6 +11,7 @@ from resacc.formats import (
     default_bp_drop,
     flip_bit,
     flip_bit_array,
+    flip_bits,
 )
 
 ALL_FORMATS = list(NumericFormat)
@@ -66,6 +67,27 @@ def test_scalar_matches_array(fmt):
         for i in range(len(vals)):
             s = flip_bit(vals[i], bit, fmt)
             assert s.view(fmt.bits_dtype) == arr[i].view(fmt.bits_dtype)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+def test_flip_bits_equals_one_flip_per_bit(fmt):
+    """One XOR for all bits toggles just that bit of each value's pattern,
+    for each of the bits, for every bit pattern class (NaN, Inf and
+    subnormal patterns included) and for a strided view, as the engine
+    passes a column of its cache."""
+    rng = np.random.default_rng(fmt.width)
+    patterns = rng.integers(0, 1 << fmt.width, size=(64, 3), dtype=np.uint64)
+    values = patterns.astype(fmt.bits_dtype).view(fmt.dtype)[:, 1]
+    bits = list(range(fmt.width))
+    got = flip_bits(values, bits, fmt)
+    want = [[int(p) ^ (1 << b) for p in patterns[:, 1]] for b in bits]
+    assert got.dtype == fmt.dtype and got.shape == (fmt.width, 64)
+    assert got.view(fmt.bits_dtype).tolist() == want
+    assert (flip_bits(values[:1], [3, 0], fmt).view(fmt.bits_dtype).tolist()
+            == [want[3][:1], want[0][:1]])
+    for bad in ([fmt.width], [0, -1]):
+        with pytest.raises(ValueError):
+            flip_bits(values, bad, fmt)
 
 
 def test_bit_pos_out_of_range():

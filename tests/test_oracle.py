@@ -52,11 +52,10 @@ def test_exhaustive_ra_is_bit_exact_to_ra_expected_over_the_archive(toy, with_uf
     make = {"dense": lambda: make_dense_toy(seed=3), "pool": make_pool_toy}[toy]
     ctx = build_context(make(), make_config())
     # uf leaves the last layer out, so it also takes the 1.0 default.
-    uf = ({layer.layer_id: 0.3 + 0.2 * i for i, layer in enumerate(ctx.profile.layers[:-1])}
-          if with_uf else None)
+    util = {layer.layer_id: 0.3 + 0.2 * i for i, layer in enumerate(ctx.profile.layers[:-1])}
+    uf = (lambda lid: util.get(lid, 1.0)) if with_uf else None
     res, arch = exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset, uf=uf)
-    want = ra_expected(ctx.table, arch.evaluator, arch.sa,
-                       None if uf is None else (lambda lid: uf.get(lid, 1.0)))
+    want = ra_expected(ctx.table, arch.evaluator, arch.sa, uf)
     assert res.ra == want.ra
     assert res.components == want.components
     assert res.sa == want.sa == arch.sa
@@ -260,7 +259,7 @@ def test_grid_utilization_matches_exhaustive_uf_ra(dense_oracle):
                         utilization={0: 0.7, 1: 0.9})
     res, _ = exhaustive_ra(
         ctx.profile, ctx.config, ctx.net, ctx.evalset,
-        FaultSemantics.TRUE, uf={0: 0.7, 1: 0.9},
+        FaultSemantics.TRUE, uf=lambda lid: {0: 0.7, 1: 0.9}.get(lid, 1.0),
     )
     manual = ra_expected(
         ctx.table, arch.evaluator, arch.sa,
