@@ -40,6 +40,7 @@ from .oracle import (
 )
 from .probtransfer import build_table
 from .profile import (
+    CONTROL_LAYER,
     AcceleratorConfig,
     FFType,
     config_from_text,
@@ -230,8 +231,15 @@ def _hash_for(args, need_evalset: bool) -> str:
     return _spec_hash(paths, extra)
 
 
-def _semantics(args) -> FaultSemantics:
-    return FaultSemantics.TRUE if args.semantics == "true" else FaultSemantics.SW
+def _semantics(args, table) -> FaultSemantics:
+    """The fault semantics ``args`` ask for. SW semantics do not model
+    control sites, so a table that holds any is rejected before anything
+    is evaluated, not when the first one is drawn."""
+    if args.semantics == "true":
+        return FaultSemantics.TRUE
+    if any(c.layer_id == CONTROL_LAYER for c in table.classes):
+        raise ValidationError("--semantics sw needs a config with no control FFs")
+    return FaultSemantics.SW
 
 
 def _uf_map(args, profile):
@@ -311,9 +319,9 @@ def cmd_estimate(args, out: RunOutputs) -> int:
         raise UsageError("need --samples K or --poc")
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
+    semantics = _semantics(args, table)
     sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
-    semantics = _semantics(args)
     spec_hash = _hash_for(args, need_evalset=True)
     ground_truth = criteria = None
     if args.poc:
@@ -350,9 +358,9 @@ def cmd_estimate(args, out: RunOutputs) -> int:
 def cmd_compare(args, out: RunOutputs) -> int:
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
+    semantics = _semantics(args, table)
     sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
-    semantics = _semantics(args)
     spec_hash = _hash_for(args, need_evalset=True)
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     if not seeds:
@@ -395,13 +403,13 @@ def cmd_compare(args, out: RunOutputs) -> int:
 
 def cmd_oracle(args, out: RunOutputs) -> int:
     config, net, profile, evalset = _build_context(args, need_evalset=True)
-    semantics = _semantics(args)
+    table = build_table(profile, config)
+    semantics = _semantics(args, table)
     spec_hash = _hash_for(args, need_evalset=True)
     result, archive = exhaustive_ra(
         profile, config, net, evalset, semantics, max_inferences=args.max_inferences,
         progress=OracleProgress(),
     )
-    table = build_table(profile, config)
     rows = []
     for c in table.classes:
         for b in range(table.bit_width):
@@ -491,14 +499,16 @@ def _build_parser() -> _Parser:
 
     evalc = argparse.ArgumentParser(add_help=False)
     evalc.add_argument("--evalset", required=True, help="evalset container")
-    evalc.add_argument("--semantics", choices=["true", "sw"], default="true",
-                       help="fault semantics: hardware-faithful or software-style")
+    semc = argparse.ArgumentParser(add_help=False)
+    semc.add_argument("--semantics", choices=["true", "sw"], default="true",
+                      help="fault semantics: hardware-faithful or software-style "
+                           "(sw needs a config with no control FFs)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("profile", parents=[common]).set_defaults(func=cmd_profile)
     sub.add_parser("probs", parents=[common]).set_defaults(func=cmd_probs)
 
-    est = sub.add_parser("estimate", parents=[common, evalc])
+    est = sub.add_parser("estimate", parents=[common, evalc, semc])
     est.add_argument("--strategy", required=True,
                      choices=[s.value for s in SamplingStrategy])
     est.add_argument("--samples", type=int, default=None)
@@ -510,7 +520,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--max-samples", type=int, default=200_000, dest="max_samples")
     est.set_defaults(func=cmd_estimate)
 
-    cmp_ = sub.add_parser("compare", parents=[common, evalc])
+    cmp_ = sub.add_parser("compare", parents=[common, evalc, semc])
     cmp_.add_argument("--strategies", default="uniform,mac,is,is-b")
     cmp_.add_argument("--seeds", default="0,1,2")
     cmp_.add_argument("--threshold", type=float, default=0.003)
@@ -518,7 +528,7 @@ def _build_parser() -> _Parser:
     cmp_.add_argument("--max-samples", type=int, default=200_000, dest="max_samples")
     cmp_.set_defaults(func=cmd_compare, poc=True, samples=None)
 
-    orc = sub.add_parser("oracle", parents=[common, evalc])
+    orc = sub.add_parser("oracle", parents=[common, evalc, semc])
     orc.add_argument("--max-inferences", type=int, default=10**6, dest="max_inferences")
     orc.set_defaults(func=cmd_oracle)
 

@@ -21,14 +21,16 @@ activations of the whole evalset, the weights in float64 and the window
 tables of each max-pool layer are computed once (:class:`ActivationCache`).
 Only the elements of the faulted layer's output that read a flipped value
 inside its reuse window are recomputed, those of all the chunk's variables
-in one sum. They form the fault frontier: per variable, the positions of
-the elements it changed and their values under every bit and input. The
+in one sum. They form the fault frontier, a flat list with one entry per
+changed element: its variable, its flat position and its values under
+every bit and input; a variable that changes nothing has no entry. The
 frontier, not whole rows, goes through the layers that sum nothing: ReLU on
 its values, Flatten as it is, and max-pool by recomputing only the windows
-that cover a changed position. At the first conv, FC or softmax layer (or
-the end of the net), only the vars x bits x inputs rows whose values differ
-in bits from the clean ones are built dense and run on to the argmax in one
-loop (:func:`_frontier_predictions`); the rest take the clean prediction.
+that cover a changed position, one entry per variable and window. At the
+first conv, FC or softmax layer (or the end of the net), only the vars x
+bits x inputs rows whose values differ in bits from the clean ones are
+built dense and run on to the argmax in one loop
+(:func:`_frontier_predictions`); the rest take the clean prediction.
 Before each later conv and FC layer of that loop, the rows whose bits equal
 the layer's cached clean input are dropped too. Local-control variables are
 grouped by the layer their hashed weight lands in. A chunk holds as many
@@ -36,7 +38,7 @@ variables as keep its widest float64 activation within BATCH_BYTES; a
 single variable too large for that goes in chunks of inputs, a recompute in
 chunks of output elements whose (elements, bits, inputs, fan-in + 1)
 float64 sums fit in BATCH_BYTES, and a frontier max-pool in chunks of
-windows whose patches fit in it. No chunking changes a result.
+entries whose window patches fit in it. No chunking changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
@@ -372,12 +374,12 @@ def _check_vars(vs: np.ndarray, count: int, var_type: FFType) -> None:
         raise ValueError(f"var_index out of range for {var_type.value}: [0, {count})")
 
 
-def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
     """Each element's variable and its rank among that variable's elements,
-    for ``count`` elements per variable (an array, or one count for all),
-    and the count of each variable."""
+    in variable order, for ``count`` elements per variable (an array, or one
+    count for all)."""
     counts = np.zeros(n_vars, dtype=np.int64) + count
-    return *np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None]), counts
+    return np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None])
 
 
 def _covering(i: np.ndarray, k: int, stride: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,14 +418,15 @@ def _faulty_outputs(
     var_indices: np.ndarray,
     bits: list[int],
     fault: FaultSpec,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fault frontier of one layer's output over a batch of n inputs,
     with each of its variables ``var_indices`` flipped in turn, for each of
-    ``bits``: (pos, vals). ``pos`` (V, P) holds the flat positions, within
-    one output, of the elements each variable changes, padded to P by
-    repeating its last; ``vals`` (V, P, F, n) holds their values. A
-    variable that changes no element has position 0 with its clean value.
-    Every other element is that of ``clean``.
+    ``bits``: (owner, pos, vals), one entry per changed output element.
+    ``owner`` (E,) is the entry's variable, as an index into
+    ``var_indices``, ``pos`` (E,) the element's flat position within one
+    output and ``vals`` (E, F, n) its values under each bit and input.
+    Entries are in owner order; a variable that changes no element has
+    none. Every element without an entry is that of ``clean``.
 
     ``x`` and ``clean`` are the layer's cached clean input and output, and
     ``w64`` its weight in float64. The output elements that read a flipped
@@ -436,17 +439,17 @@ def _faulty_outputs(
     if var_type is FFType.OUTPUT_ACTIVATION:
         values = clean.reshape(n, -1)
         _check_vars(vs, values.shape[1], var_type)
-        return vs[:, None], flip_bits(values[:, vs].T, bits, fmt).swapaxes(0, 1)[:, None]
+        return np.arange(len(vs)), vs, flip_bits(values[:, vs].T, bits, fmt).swapaxes(0, 1)
     if var_type is FFType.INPUT_ACTIVATION:
         _check_vars(vs, x[0].size, var_type)
         xf = flip_bits(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
         if isinstance(layer, ReLU):
-            return vs[:, None], _apply_layer(layer, xf, fmt)[:, None]
+            return np.arange(len(vs)), vs, _apply_layer(layer, xf, fmt)
         xf64 = xf.astype(np.float64)
 
     # Each branch names the output elements to recompute (elems), the
-    # variable each belongs to (owner) and its rank among that variable's
-    # elements, and recompute(sel) -> (E, F, n), the float64 values of the
+    # variable each belongs to (owner), in variable order, and
+    # recompute(sel) -> (E, F, n), the float64 values of the
     # elements [sel]. A summing branch also names the fan-in position at
     # which each element reads the flipped value (hit_k).
     if var_type is FFType.WEIGHT:
@@ -457,8 +460,7 @@ def _faulty_outputs(
         if isinstance(layer, FC):
             # Each FC weight is read once per inference.
             elems, hit_k = np.divmod(vs, w64.shape[1])
-            owner, rank = np.arange(len(vs)), np.zeros(len(vs), dtype=np.int64)
-            counts = rank + 1
+            owner = np.arange(len(vs))
             xt = x.astype(np.float64).T  # (K, n)
 
             def recompute(sel):
@@ -470,7 +472,7 @@ def _faulty_outputs(
             _, oh, ow = clean.shape[1:]
             o, k = np.divmod(vs, w64[0].size)
             start, count = _window(vs, oh * ow, fault)
-            owner, rank, counts = _spread(count, len(vs))
+            owner, rank = _spread(count, len(vs))
             u = start[owner] + rank
             oc, hit_k = o[owner], k[owner]
             elems = oc * oh * ow + u
@@ -486,7 +488,7 @@ def _faulty_outputs(
         assert var_type is FFType.INPUT_ACTIVATION
         if isinstance(layer, FC):
             start, count = _window(vs, w64.shape[0], fault)
-            owner, rank, counts = _spread(count, len(vs))
+            owner, rank = _spread(count, len(vs))
             elems = start[owner] + rank
             hit_k = vs[owner]
             xt = x.astype(np.float64).T  # (K, n)
@@ -505,7 +507,7 @@ def _faulty_outputs(
             y0, ny = _covering(iy + pad, kh, s, oh)
             z0, nz = _covering(iz + pad, kw, s, ow)
             start, count = _window(vs, ny * nz * n_oc, fault)
-            owner, rank, counts = _spread(count, len(vs))
+            owner, rank = _spread(count, len(vs))
             p, o = np.divmod(start[owner] + rank, n_oc)
             py, pz = np.divmod(p, nz[owner])
             y, z = y0[owner] + py, z0[owner] + pz
@@ -525,7 +527,7 @@ def _faulty_outputs(
             y0, ny = _covering(iy, k, s, oh)
             z0, nz = _covering(iz, k, s, ow)
             start, count = _window(vs, ny * nz, fault)
-            owner, rank, counts = _spread(count, len(vs))
+            owner, rank = _spread(count, len(vs))
             py, pz = np.divmod(start[owner] + rank, nz[owner])
             y, z = y0[owner] + py, z0[owner] + pz
             elems = (c[owner] * oh + y) * ow + z
@@ -556,17 +558,10 @@ def _faulty_outputs(
     # alone, so chunking changes no result.
     per_elem = k * k if isinstance(layer, MaxPool2D) else w64[0].size + 1
     step = max(1, BATCH_BYTES // (8 * n * n_bits * per_elem))
-    pos = np.zeros((len(vs), max(1, int(counts.max()))), dtype=np.int64)
-    pos[owner, rank] = elems
-    vals = np.empty(pos.shape + (n_bits, n), dtype=clean.dtype)
+    vals = np.empty((len(elems), n_bits, n), dtype=clean.dtype)
     for i in range(0, len(elems), step):
-        sel = slice(i, i + step)
-        vals[owner[sel], rank[sel]] = _cast(recompute(sel), fmt)
-    if counts.min() < pos.shape[1]:
-        _repeat_last(pos, counts)
-        _repeat_last(vals, counts)
-        vals[counts == 0] = clean.reshape(n, -1)[:, 0]
-    return pos, vals
+        vals[i : i + step] = _cast(recompute(slice(i, i + step)), fmt)
+    return owner, elems, vals
 
 
 def prediction_batches(
@@ -630,86 +625,67 @@ def prediction_batches(
                         net.layers[k], cache.weights64[k], cache.acts[k][cols],
                         cache.acts[k + 1][cols], fmt, var_type, vs[pos], bits, fault,
                     )
-                    preds.append(_frontier_predictions(net, cache, k + 1, *front, cols))
+                    preds.append(_frontier_predictions(net, cache, k + 1, len(pos), *front,
+                                                       cols))
             yield pos, np.concatenate(preds, axis=2)
 
 
-def _repeat_last(a: np.ndarray, counts: np.ndarray) -> None:
-    """Fill each row ``a[v]`` past its first ``counts[v]`` slots with a
-    repeat of the last of those; a row with none stays as it is."""
-    v, j = np.nonzero((np.arange(a.shape[1]) >= counts[:, None]) & (counts[:, None] > 0))
-    a[v, j] = a[v, counts[v] - 1]
-
-
 def _pool_frontier(
-    layer: MaxPool2D, pool: _PoolTables, cols: slice, pos: np.ndarray, vals: np.ndarray,
-    fmt: NumericFormat,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The fault frontier of a max-pool layer's output from that of its
-    input, ``pos`` (V, P) and ``vals`` (V, P, F, n) over the cached inputs
-    ``cols``.
+    layer: MaxPool2D, pool: _PoolTables, cols: slice, owner: np.ndarray, pos: np.ndarray,
+    vals: np.ndarray, fmt: NumericFormat,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fault frontier (owner, pos, vals) of a max-pool layer's output
+    from that of its input (see :func:`_faulty_outputs`) over the cached
+    inputs ``cols``.
 
     Only the windows that cover a changed position are recomputed, as
     :func:`_apply_layer` computes them: the clean members from ``pool``
     with the changed ones scattered in, quieted (:func:`_quiet`), fmax'd
-    in the (ky, kz) order of ``kernels.maxpool2d``, and cast. Each
-    variable's windows are sorted and made distinct, and each changed
-    position goes to its member slot of each window that covers it, so the
-    scatter takes O(P) index work. Windows go in chunks whose (k*k + 1, V,
-    windows, F, n) patches stay within BATCH_BYTES; slot k*k takes the
+    in the (ky, kz) order of ``kernels.maxpool2d``, and cast. One output
+    entry is made per distinct (owner, window) pair, and each input entry
+    goes to its member slot of each window that covers it, so the scatter
+    takes O(E) index work. Output entries go in chunks whose (k*k + 1,
+    entries, F, n) patches stay within BATCH_BYTES; slot k*k takes the
     changed values that no window of the chunk reads.
     """
-    n_vars = len(pos)
     k2 = layer.kernel ** 2
-    rows = np.arange(n_vars)[:, None]
-    win = pool.cover[pos].reshape(n_vars, -1)  # (V, P*Q)
-    order = win.argsort(axis=1)
-    ws = win[rows, order]
-    rank = np.zeros_like(ws)  # of each sorted window among the variable's distinct ones
-    np.cumsum(ws[:, 1:] != ws[:, :-1], axis=1, out=rank[:, 1:])
-    counts = rank[:, -1] + 1
-    new_pos = np.empty((n_vars, int(counts.max())), dtype=np.int64)
-    new_pos[rows, rank] = ws
-    padded = counts.min() < new_pos.shape[1]
-    if padded:
-        _repeat_last(new_pos, counts)
-    slot = np.empty_like(rank)
-    slot[rows, order] = rank
-    slot = slot.reshape(pos.shape + (-1,))
+    n_win = len(pool.members)
+    cover = pool.cover[pos]  # (E, Q)
+    key, entry = np.unique(owner[:, None] * n_win + cover, return_inverse=True)
+    entry = entry.reshape(cover.shape)  # the output entry of each covering window
+    new_owner, new_pos = np.divmod(key, n_win)
     member = pool.slot[pos]
-    changed = vals[:, :, None]  # (V, P, 1, F, n)
+    changed = vals[:, None]  # (E, 1, F, n)
     clean = pool.clean[:, cols]
-    n_win, shape = new_pos.shape[1], vals.shape[2:]
-    step = max(1, BATCH_BYTES // (8 * (k2 + 1) * n_vars * math.prod(shape)))
-    out = []
-    for a in range(0, n_win, step):
-        b = min(n_win, a + step)
-        m, s = member, slot
-        if b - a < n_win:
-            m = np.where((slot >= a) & (slot < b), member, k2)
-            s = np.clip(slot - a, 0, b - a - 1)
-        patches = np.empty((k2 + 1, n_vars, b - a) + shape, dtype=clean.dtype)
-        patches[:k2] = clean[pool.members[new_pos[:, a:b]].transpose(2, 0, 1)][:, :, :, None]
-        patches[m, rows[:, :, None], s] = changed
+    shape = vals.shape[1:]
+    out = np.empty((len(key),) + shape, dtype=vals.dtype)
+    step = max(1, BATCH_BYTES // (8 * (k2 + 1) * math.prod(shape)))
+    for a in range(0, len(key), step):
+        b = min(len(key), a + step)
+        m, s = member, entry
+        if b - a < len(key):
+            m = np.where((entry >= a) & (entry < b), member, k2)
+            s = np.clip(entry - a, 0, b - a - 1)
+        patches = np.empty((k2 + 1, b - a) + shape, dtype=clean.dtype)
+        patches[:k2] = clean[pool.members[new_pos[a:b]].T][:, :, None]
+        patches[m, s] = changed
         _quiet(patches, fmt, out=patches)
         # kernels.maxpool2d starts from a copy of member 0 and fmaxes member 0 into it
         best = np.fmax(patches[0], patches[0])
         for j in range(1, k2):
             np.fmax(best, patches[j], out=best)
-        out.append(_cast(best, fmt))
-    out = out[0] if len(out) == 1 else np.concatenate(out, axis=1)
-    if padded:
-        _repeat_last(out, counts)
-    return new_pos, out
+        out[a:b] = _cast(best, fmt)
+    return new_owner, new_pos, out
 
 
 def _frontier_predictions(
-    net: MicroNetwork, cache: ActivationCache, i: int, pos: np.ndarray, vals: np.ndarray,
-    cols: slice,
+    net: MicroNetwork, cache: ActivationCache, i: int, n_vars: int, owner: np.ndarray,
+    pos: np.ndarray, vals: np.ndarray, cols: slice,
 ) -> np.ndarray:
     """Predicted class of each (var, bit, input) row of the fault frontier
-    (``pos``, ``vals``, see :func:`_faulty_outputs`) of layer i's input over
-    the cached inputs ``cols``: (V, F, n).
+    (``owner``, ``pos``, ``vals``, see :func:`_faulty_outputs`) of layer i's
+    input over the cached inputs ``cols``, for ``n_vars`` variables:
+    (n_vars, F, n). A variable with no entry takes the clean predictions.
 
     The frontier goes through ReLU on its values, through Flatten as it is
     and through max-pool by :func:`_pool_frontier`. At the first conv, FC
@@ -727,24 +703,25 @@ def _frontier_predictions(
         if isinstance(net.layers[i], ReLU):
             vals = _apply_layer(net.layers[i], vals, fmt)
         elif isinstance(net.layers[i], MaxPool2D):
-            pos, vals = _pool_frontier(net.layers[i], cache.pools[i], cols, pos, vals, fmt)
+            owner, pos, vals = _pool_frontier(net.layers[i], cache.pools[i], cols, owner, pos,
+                                              vals, fmt)
         i += 1
     x = cache.acts[i][cols]
     clean = x.reshape(len(x), -1)
     b = fmt.bits_dtype
-    n_vars, _, n_bits, n = vals.shape
-    live = np.flatnonzero(np.logical_or.reduce(
-        vals.view(b) != clean.T[pos].view(b)[:, :, None], axis=1))
-    preds = np.empty((n_vars, n_bits, n), dtype=np.intp)
+    _, n_bits, n = vals.shape
+    hit = np.zeros((n_vars, n_bits, n), dtype=bool)
+    np.logical_or.at(hit, owner, vals.view(b) != clean.T[pos].view(b)[:, None])
+    live = np.flatnonzero(hit)
+    preds = np.empty(hit.shape, dtype=np.intp)
     preds[...] = cache.preds[cols]
     if not len(live):
         return preds
-    # Scattering one (F, n) block per changed position into a copy of every
-    # row and then taking the live ones costs a fraction of a scatter per
-    # live row.
+    # Scattering one (F, n) block per entry into a copy of every row and
+    # then taking the live ones costs a fraction of a scatter per live row.
     a = np.empty((n_vars, n_bits) + clean.shape, dtype=clean.dtype)
     a[...] = clean
-    a[np.arange(n_vars)[:, None], :, :, pos] = vals
+    a[owner, :, :, pos] = vals
     a = a.reshape((-1,) + x.shape[1:]).take(live, axis=0)
     inputs = cols.start + live % n  # the cached input of each live row
     for j in range(i, len(net.layers)):
@@ -806,19 +783,21 @@ class EvalSet:
 class _PoolTables(NamedTuple):
     """What the fault frontier needs of one max-pool layer (see
     :func:`_pool_frontier`); positions are flat within one input or
-    output."""
+    output, and a window is its flat output position. Each input position
+    has Q cover slots, Q the most windows that read any one position: one
+    per window that reads it, and each slot left over names its first
+    window (window 0 if none reads it) and member slot k*k, which no
+    maximum reads."""
 
     clean: np.ndarray  # (positions, n_inputs): the clean input, quieted (_quiet)
     members: np.ndarray  # (windows, k*k): each window's input positions, in (ky, kz) order
     cover: np.ndarray  # (positions, Q): the windows covering each position, in order
-    slot: np.ndarray  # (positions, Q): its member slot in each; k*k where no window reads it
+    slot: np.ndarray  # (positions, Q): its member slot in each of those windows
 
 
 def _pool_tables(layer: MaxPool2D, x: np.ndarray, fmt: NumericFormat) -> _PoolTables:
     """The tables of a max-pool layer whose clean input is ``x`` (n, C, H,
-    W). A position covered by fewer than Q windows repeats its last; one
-    that no window reads names window 0 and slot k*k, which no maximum
-    reads."""
+    W); see :class:`_PoolTables`."""
     n, c, h, w = x.shape
     k, s, k2 = layer.kernel, layer.stride, layer.kernel ** 2
     ch, y, z = (g.reshape(-1, 1) for g in np.indices((c, (h - k) // s + 1, (w - k) // s + 1)))
@@ -831,8 +810,7 @@ def _pool_tables(layer: MaxPool2D, x: np.ndarray, fmt: NumericFormat) -> _PoolTa
     slot = np.full(cover.shape, k2, dtype=np.int64)
     rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[position]
     cover[position, rank], slot[position, rank] = np.divmod(at, k2)
-    _repeat_last(cover, counts)
-    _repeat_last(slot, counts)
+    cover = np.where(slot < k2, cover, cover[:, :1])
     return _PoolTables(np.ascontiguousarray(_quiet(x, fmt).reshape(n, -1).T), members, cover, slot)
 
 

@@ -140,6 +140,8 @@ def derive_profile(
     mac_count so layer probabilities never divide by zero; they own no weight
     variables. Flatten and softmax layers hold no distinct FF-resident state
     and produce no profile layer. One control variable exists per control FF.
+    ``utilization`` maps profile layer ids to their utilization (1.0 for a
+    layer it omits); an id the profile lacks is a ValueError.
     """
     from . import microdnn  # local import to avoid a cycle
 
@@ -194,6 +196,9 @@ def derive_profile(
         )
         layer_id += 1
 
+    unknown = sorted(set(utilization or ()) - {l.layer_id for l in layers})
+    if unknown:
+        raise ValueError(f"utilization names layers the profile lacks: {unknown}")
     control = {t: config.ff_count.get(t, 0) for t in CONTROL_TYPES}
     return NetworkProfile(layers=layers, control_var_count=control)
 

@@ -28,7 +28,7 @@ from resacc.cli import (
     read_csv,
 )
 from resacc.container import save_evalset, save_network
-from resacc.profile import config_to_text
+from resacc.profile import CONTROL_TYPES, config_to_text
 from resacc.formats import NumericFormat
 from resacc.toynets import make_config, make_dense_toy, make_evalset, make_pool_toy
 
@@ -104,10 +104,13 @@ def test_missing_input_file_is_validation_error(cli_inputs, tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-def test_bad_utilization_is_validation_error(cli_inputs, tmp_path):
-    rc = main(["probs"] + _common(cli_inputs, tmp_path)
-              + ["--utilization", "0=1.5"])
-    assert rc == EXIT_VALIDATION
+def test_bad_utilization_is_validation_error(cli_inputs, tmp_path, capsys):
+    for value, message in [("0=1.5", "utilization for layer 0 must be in (0, 1]"),
+                           ("99=0.5", "utilization names layers the profile lacks: [99]")]:
+        rc = main(["probs"] + _common(cli_inputs, tmp_path)
+                  + ["--utilization", value])
+        assert rc == EXIT_VALIDATION, value
+        assert message in capsys.readouterr().err
 
 
 def test_scale_guard_exit_code_and_cleanup(cli_inputs, tmp_path):
@@ -191,6 +194,50 @@ def test_poc_arguments_are_checked_before_the_oracle(cli_inputs, tmp_path, capsy
     assert rc == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("command,args", [
+    ("estimate", ["--strategy", "mac", "--samples", "3"]),
+    ("compare", ["--seeds", "0"]),
+    ("oracle", []),
+])
+def test_sw_semantics_with_control_ffs_is_validation_error(cli_inputs, tmp_path, capsys,
+                                                           monkeypatch, command, args, seed):
+    """SW semantics do not model control sites: whether a run drew one
+    used to decide between an answer and an error. A config with control
+    FFs is now rejected before any fault is evaluated."""
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a fault was evaluated before the semantics were checked")
+
+    for name in ("accuracy", "exhaustive_ra", "live_evaluator"):
+        monkeypatch.setattr(f"resacc.cli.{name}", no_evaluation)
+    out = tmp_path / "out"
+    rc = main([command] + _with_eval(cli_inputs, out) + args
+              + ["--semantics", "sw", "--seed", str(seed)])
+    assert rc == EXIT_VALIDATION
+    assert "--semantics sw needs a config with no control FFs" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,args", [
+    ("estimate", ["--strategy", "mac", "--samples", "3"]),
+    ("oracle", []),
+])
+def test_sw_semantics_without_control_ffs_runs(cli_inputs, tmp_path, command, args):
+    cfg = make_config()
+    cfg.ff_count = {t: n for t, n in cfg.ff_count.items() if t not in CONTROL_TYPES}
+    (tmp_path / "cfg.txt").write_text(config_to_text(cfg))
+    inp = dict(cli_inputs, config=str(tmp_path / "cfg.txt"))
+    rc = main([command] + _with_eval(inp, tmp_path / "out") + args + ["--semantics", "sw"])
+    assert rc == EXIT_OK
+
+
+def test_study_takes_no_semantics(cli_inputs, tmp_path):
+    rc = main(["study"] + _with_eval(cli_inputs, tmp_path / "out")
+              + ["--study", "methods", "--semantics", "sw"])
+    assert rc == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_file_contract_and_medians(cli_inputs, tmp_path):

@@ -73,6 +73,17 @@ def _stride_toy(fmt):
     ], (1, 5, 5), fmt)
 
 
+def _conv_stride_toy(fmt):
+    """A conv stride larger than its kernel: rows and columns 2, 5, 8 and 9
+    of the input are read by no output, so a flip there changes no element
+    and the max-pool gets no frontier entry for it."""
+    rng = np.random.default_rng(16)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (2, 1, 2, 2), fmt), stride=3), ReLU(), MaxPool2D(kernel=2, stride=1),
+        Flatten(), FC(_weights(rng, (3, 8), fmt)), Softmax(),
+    ], (1, 10, 10), fmt)
+
+
 TOYS = {
     "dense": make_dense_toy,
     "conv": make_conv_toy,
@@ -80,6 +91,7 @@ TOYS = {
     "skew": lambda fmt: make_skewed_toy(0, fmt=fmt),
     "skip": _skip_toy,
     "stride": _stride_toy,
+    "conv_stride": _conv_stride_toy,
 }
 N_INPUTS = 3
 
@@ -491,7 +503,8 @@ def _overlap_toy(fmt):
 
 @pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
 @pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
-@pytest.mark.parametrize("toy", ["dense", "pool", "skew", "overlap", "skip", "stride"])
+@pytest.mark.parametrize("toy", ["dense", "pool", "skew", "overlap", "skip", "stride",
+                                 "conv_stride"])
 def test_batches_of_variables_equal_one_variable_at_a_time(monkeypatch, toy, fmt, semantics):
     """A class evaluated in batches of variables gives, bit for bit, the
     predictions of each variable evaluated alone. Small BATCH_BYTES values
