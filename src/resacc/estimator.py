@@ -372,6 +372,8 @@ def estimate_ra(
     name, limit = ("samples", samples) if samples is not None else ("max_samples", max_samples)
     if limit < 1:
         raise ValueError(f"{name} = {limit} must be at least 1")
+    if batch < 1:
+        raise ValueError(f"batch = {batch} must be at least 1")
     rng = np.random.default_rng(seed)
     site_pdf = pdf.site_pdf()
     if uf is not None:

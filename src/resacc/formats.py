@@ -8,6 +8,7 @@ integer view so that IEEE-754 / two's-complement semantics fall out for free.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
@@ -17,15 +18,17 @@ class NumericFormat(enum.Enum):
     FP16 = "FP16"
     INT8 = "INT8"
 
-    @property
+    # Cached on each member: the engine reads these on every layer, and each
+    # dict lookup would hash the member with the Python-level Enum.__hash__.
+    @cached_property
     def width(self) -> int:
         return _WIDTH[self]
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
         return _DTYPE[self]
 
-    @property
+    @cached_property
     def bits_dtype(self) -> np.dtype:
         """Unsigned integer dtype of the same width, used as the bit view."""
         return _BITS[self]

@@ -16,7 +16,8 @@ a faulty output element is summed: sequentially from 0.0 over the fan-in, in
 (channel, row, column) order. ``dot_sequential`` sums many such elements for
 a batch of flips at once, in that order: its terms are laid out fan-in-major,
 so one ``np.add.reduce`` over the leading axis adds them row by row, with no
-loop over the fan-in.
+loop over the fan-in. ``sum_pairwise`` sums softmax's classes along a
+leading axis in the order numpy's pairwise sum adds a row of them.
 """
 
 from __future__ import annotations
@@ -117,6 +118,34 @@ def _sum_rows(a):
     if rows.shape[1] == 1:
         return np.add.accumulate(rows, axis=0)[-1].reshape(a.shape[1:])
     return np.add.reduce(rows, axis=0).reshape(a.shape[1:])
+
+
+def sum_pairwise(a):
+    """a[0] + a[1] + ... + a[-1], elementwise, added in the order numpy's
+    pairwise sum adds a contiguous row of len(a) terms (``a.T.sum(axis=1)``),
+    but vectorised along the trailing axes instead of row by row.
+
+    Below 8 terms the order is sequential. Up to 128 terms, lane j sums terms
+    j, j + 8, j + 16, ... of the whole blocks of eight in order, the lanes
+    combine as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), and the
+    terms after the last block follow in order. Above 128 terms the two
+    halves are summed so and added, the first half n // 2 terms rounded
+    down to a multiple of 8. numpy's reduction then adds the result to
+    +0.0, which turns -0.0 into +0.0; this sum leaves -0.0 as it is.
+    """
+    n = len(a)
+    if n < 8:
+        return _sum_rows(a)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return sum_pairwise(a[:h]) + sum_pairwise(a[h:])
+    m = n - n % 8
+    lane = a if m == 8 else _sum_rows(a[:m].reshape((m // 8, 8) + a.shape[1:]))
+    pair = lane[0:8:2] + lane[1:8:2]
+    s = (pair[0] + pair[1]) + (pair[2] + pair[3])
+    for k in range(m, n):
+        s += a[k]
+    return s
 
 
 def dot_sequential(terms, hit_k, faulty):

@@ -51,8 +51,11 @@ were dropped. Max-pool quiets signalling NaNs first, since numpy's fmax
 answers those by code path; the recompute of a fault at a max-pool input is
 the one exception (see :func:`_faulty_outputs`). FP16
 ReLU works on the bit patterns and FP16 max-pool in float64, since numpy
-does FP16 arithmetic in software; both give the FP16 results. The shared
-network and the cache are never mutated.
+does FP16 arithmetic in software; both give the FP16 results. Softmax works
+class-major, on a (classes, batch) copy, and sums its classes in the order
+numpy's pairwise row sum adds them (``kernels.sum_pairwise``), the order
+of a one-input softmax. The shared network and the cache are never
+mutated.
 """
 
 from __future__ import annotations
@@ -237,14 +240,18 @@ def _window(var_index, total_uses, fault: FaultSpec):
 
 # --- forward pass ----------------------------------------------------------
 
+_LOWEST = np.finfo(np.float64).min
+
+
 def _cast(a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
-    # Corrupted values may overflow the storage format or be NaN; saturating
-    # to +/-Inf (or clipping, for integers) is the modeled behavior, so the
-    # cast warnings are noise here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if fmt is NumericFormat.INT8:
-            return np.clip(np.rint(np.nan_to_num(a)), -128, 127).astype(np.int8)
-        return a.astype(fmt.dtype, copy=False)
+    """``a`` in the storage format, C-contiguous. Corrupted values may
+    overflow the storage format or be NaN; saturating to +/-Inf (or
+    clipping, for integers) is the modeled behavior, so its callers, like
+    every caller of :func:`_apply_layer`, run under
+    ``np.errstate(all="ignore")``."""
+    if fmt is NumericFormat.INT8:
+        return np.clip(np.rint(np.nan_to_num(a)), -128, 127).astype(np.int8, order="C")
+    return a.astype(fmt.dtype, order="C", copy=False)
 
 
 def _quiet(a: np.ndarray, fmt: NumericFormat, out: np.ndarray | None = None) -> np.ndarray:
@@ -266,7 +273,15 @@ def _apply_layer(
     layer: Layer, a: np.ndarray, fmt: NumericFormat, w64: np.ndarray | None = None
 ) -> np.ndarray:
     """One layer over a batch: ``a`` has a leading batch axis. ``w64`` is the
-    layer's weight in float64, converted here when not given."""
+    layer's weight in float64, converted here when not given. The caller
+    silences numpy's floating-point warnings: faulty values overflow and
+    meet NaN and Inf as a matter of course.
+
+    Softmax works class-major, on a (classes, batch) float64 copy, so that
+    its reductions and broadcasts run along the batch, not along rows of a
+    few logits: the largest finite logit of each item, then exp, the class
+    sum in the order numpy's row sum adds (``kernels.sum_pairwise``), and
+    one cast back to (batch, classes)."""
     if isinstance(layer, Conv2D):
         w64 = layer.weight.astype(np.float64) if w64 is None else w64
         return _cast(kernels.conv2d(a.astype(np.float64), w64, layer.stride, layer.pad), fmt)
@@ -287,11 +302,15 @@ def _apply_layer(
     if isinstance(layer, Flatten):
         return a.reshape(len(a), -1)
     if isinstance(layer, Softmax):
-        z = a.reshape(len(a), -1).astype(np.float64)
-        hi = z.max(axis=1, keepdims=True, where=np.isfinite(z), initial=-np.inf)
-        hi[hi == -np.inf] = 0.0  # no finite value in the row
-        e = np.exp(z - hi)
-        return _cast(e / e.sum(axis=1, keepdims=True), fmt).reshape(a.shape)
+        if a.ndim != 2:
+            return _apply_layer(layer, a.reshape(len(a), -1), fmt).reshape(a.shape)
+        z = a.T.astype(np.float64, order="C")
+        # An item with no finite logit may take any finite shift: its logits
+        # minus it stay -Inf, +Inf and NaN.
+        z -= np.maximum.reduce(z, axis=0, where=np.isfinite(z), initial=_LOWEST)
+        np.exp(z, out=z)
+        z /= kernels.sum_pairwise(z)
+        return _cast(z.T, fmt)
     raise ValueError(f"unsupported layer kind: {type(layer).__name__}")
 
 

@@ -49,7 +49,11 @@ def _apply_layer(layer, x: np.ndarray, fmt: NumericFormat) -> np.ndarray:
     if isinstance(layer, ReLU):
         return np.maximum(x, x.dtype.type(0))
     if isinstance(layer, MaxPool2D):
-        out = kernels.maxpool2d(x.astype(np.float64)[None], layer.kernel, layer.stride)[0]
+        # Multiplying by 1.0 quiets signalling NaNs, which numpy's fmax takes
+        # or ignores by code path (so by the size of the output).
+        with np.errstate(invalid="ignore"):
+            x64 = x.astype(np.float64) * 1.0
+        out = kernels.maxpool2d(x64[None], layer.kernel, layer.stride)[0]
         return _cast(out, fmt)
     if isinstance(layer, Flatten):
         return x.reshape(-1)

@@ -84,6 +84,25 @@ def _conv_stride_toy(fmt):
     ], (1, 10, 10), fmt)
 
 
+def _tiny_pool_toy(fmt):
+    """A max-pool output of two elements per input, fewer than the eight
+    numpy's fmax takes on its SIMD path: a signalling NaN reaching the pool
+    must be quieted by the reference as by the engine."""
+    rng = np.random.default_rng(16)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (2, 1, 2, 2), fmt), stride=3), ReLU(), MaxPool2D(kernel=2, stride=1),
+        Flatten(), FC(_weights(rng, (3, 2), fmt)), Softmax(),
+    ], (1, 7, 7), fmt)
+
+
+def _wide_toy(fmt):
+    """Ten classes, so the softmax sum takes numpy's eight-lane order."""
+    rng = np.random.default_rng(18)
+    return MicroNetwork([
+        FC(_weights(rng, (16, 12), fmt)), ReLU(), FC(_weights(rng, (10, 16), fmt)), Softmax(),
+    ], (12,), fmt)
+
+
 TOYS = {
     "dense": make_dense_toy,
     "conv": make_conv_toy,
@@ -92,6 +111,8 @@ TOYS = {
     "skip": _skip_toy,
     "stride": _stride_toy,
     "conv_stride": _conv_stride_toy,
+    "tiny_pool": _tiny_pool_toy,
+    "wide": _wide_toy,
 }
 N_INPUTS = 3
 
@@ -343,6 +364,17 @@ def test_sum_rows_adds_in_row_order(columns, n_rows):
         got = kernels.dot_sequential(a[:, :, None], np.zeros(columns, dtype=np.int64),
                                      a[0][:, None, None])
         assert np.array_equal(got[:, 0, 0], 0.0 + want)
+
+
+def test_sum_pairwise_adds_in_numpy_row_sum_order():
+    """The class sum of softmax adds in the order of numpy's own row sum,
+    which the reference engine's ``e.sum()`` takes. This pins that order:
+    a numpy that splits its pairwise sum differently fails here."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        a = rng.normal(size=(7, n)) * 10.0 ** rng.integers(-8, 9, size=(7, n))
+        got = kernels.sum_pairwise(np.ascontiguousarray(a.T))
+        assert np.array_equal(got, a.sum(axis=1)), n
 
 
 @settings(max_examples=200, deadline=None)
@@ -742,6 +774,67 @@ def test_pool_sees_no_faulty_row_and_fc_only_changed_ones(monkeypatch):
         assert got == sorted(want), (layer_id, var_type)
 
 
+# --- softmax ----------------------------------------------------------------------
+
+def _softmax_logits(rng, fmt, n_rows, n_classes):
+    """Random logits, the last rows special: only NaN, only +Inf, only
+    -Inf, only the largest finite value or its negative; one of each among
+    random logits; all of them in one row; and a row of equal logits. INT8
+    has no NaN or Inf, so its special values are 127 and -128."""
+    if fmt is NumericFormat.INT8:
+        x = rng.integers(-128, 128, size=(n_rows, n_classes)).astype(np.int8)
+        specials = [np.int8(127), np.int8(-128)]
+    else:
+        x = rng.normal(0.0, 4.0, size=(n_rows, n_classes)).astype(fmt.dtype)
+        big = np.finfo(fmt.dtype).max
+        specials = [np.nan, np.inf, -np.inf, big, -big]
+    rows = [np.full(n_classes, v) for v in specials]  # only one value
+    for j, v in enumerate(specials):  # one value among random ones
+        row = x[j].astype(np.float64)
+        row[(7 * j) % n_classes] = v
+        rows.append(row)
+    mixed = x[0].astype(np.float64)
+    for j, v in enumerate(specials):
+        mixed[j :: len(specials) + 1] = v
+    rows.append(mixed)
+    tie = x[1].astype(np.float64)
+    tie[:] = tie.max()
+    rows.append(tie)
+    for i, row in enumerate(rows[: n_rows]):
+        x[n_rows - 1 - i] = row.astype(fmt.dtype)
+    return x
+
+
+@pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 10, 16, 17, 128, 129, 300])
+def test_softmax_equals_reference_bit_for_bit(fmt, n_classes):
+    """Class-major softmax over a batch gives, bit for bit, what the
+    reference engine gives each input alone, as a C-contiguous (rows,
+    classes) array, on batches of 1, 2 and 37 rows with NaN, +-Inf and
+    huge logits. (The cast to the storage format hides almost every change
+    in the order of the float64 class sum, so
+    test_sum_pairwise_adds_in_numpy_row_sum_order pins that.)"""
+    rng = np.random.default_rng(n_classes)
+    x = _softmax_logits(rng, fmt, 37, n_classes)
+    with np.errstate(all="ignore"):
+        want = np.stack([reference_apply_layer(Softmax(), xi, fmt) for xi in x])
+        for rows in [slice(None)] + [slice(i, i + k) for k in (1, 2) for i in range(37 - k + 1)]:
+            got = microdnn._apply_layer(Softmax(), x[rows], fmt)
+            assert got.dtype == fmt.dtype and got.flags.c_contiguous
+            assert np.array_equal(got.view(fmt.bits_dtype), want[rows].view(fmt.bits_dtype)), rows
+
+
+def test_softmax_keeps_the_shape_of_its_input():
+    """A softmax over a (C, H, W) activation normalises each item over
+    all its elements and keeps the shape."""
+    x = np.random.default_rng(1).normal(size=(5, 2, 3, 4)).astype(np.float32)
+    with np.errstate(all="ignore"):
+        got = microdnn._apply_layer(Softmax(), x, NumericFormat.FP32)
+        want = np.stack([reference_apply_layer(Softmax(), xi, NumericFormat.FP32) for xi in x])
+    assert got.shape == x.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 # --- FP16 elementwise layers ---------------------------------------------------
 
 def test_fp16_relu_on_bit_patterns_equals_maximum():
@@ -787,8 +880,8 @@ def test_fp16_maxpool_equals_reference(kernel, stride):
 def test_fp16_maxpool_ignores_signalling_nans_as_fp16_does(kernel, stride):
     """A flipped exponent can make a signalling NaN. FP16 max-pool ignores
     it like any NaN, as FP16 fmax does, whatever the batch. (numpy's float64
-    fmax, which the reference engine takes per input, answers a signalling
-    NaN by memory layout, so it is not the yardstick here.)"""
+    fmax answers a signalling NaN by memory layout, which is why both
+    engines quiet it first.)"""
     rng = np.random.default_rng(kernel * 10 + stride)
     x = _fp16_patterns(rng, (16, 2, 7, 7), FP16_SPECIALS + [0x7C01, 0xFC2A, 0x7D00])
     layer = MaxPool2D(kernel=kernel, stride=stride)

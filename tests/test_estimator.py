@@ -201,6 +201,18 @@ def test_estimator_needs_budget_or_criteria(dense_ctx):
         estimate_ra(pdf, dense_ctx.table, lambda s: 1.0)
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_estimator_rejects_batch_below_one(dense_ctx, batch):
+    """A batch of 0 would draw nothing and loop forever; a negative one
+    would reach numpy as a negative size."""
+    pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
+    calls = []
+    with pytest.raises(ValueError, match="batch"):
+        estimate_ra(pdf, dense_ctx.table, lambda s: calls.append(s) or 1.0, samples=10,
+                    batch=batch)
+    assert calls == []
+
+
 def test_estimator_uf_needs_sa(dense_ctx):
     pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
     with pytest.raises(ValueError):
