@@ -65,13 +65,8 @@ def flip_bits(values, bits, fmt: NumericFormat) -> np.ndarray:
 
 
 def flip_bit(value, bit_pos: int, fmt: NumericFormat):
-    """:func:`flip_bits` of a scalar and one bit, returning a scalar."""
+    """:func:`flip_bits` of a scalar or an array and one bit, of the same shape."""
     return flip_bits(value, [bit_pos], fmt)[0]
-
-
-def flip_bit_array(values: np.ndarray, bit_pos: int, fmt: NumericFormat) -> np.ndarray:
-    """:func:`flip_bits` of an array and one bit."""
-    return flip_bits(values, [bit_pos], fmt)[0]
 
 
 def bit_field(fmt: NumericFormat, bit_pos: int) -> str:

@@ -17,8 +17,16 @@ time, over every requested bit of each and every input of the evalset in
 one batch (:func:`prediction_batches`, :func:`faulty_predictions`); the
 accuracy of one site (:func:`accuracy`) counts the correct labels of such a
 batch. The flipped values come from ``formats.flip_bits``. The clean
-activations of the whole evalset, the weights in float64 and the window
-tables of each max-pool layer are computed once (:class:`ActivationCache`).
+activations of the whole evalset, the weights in float64 and the receptive
+field of each conv, FC and max-pool layer are computed once
+(:class:`ActivationCache`). A receptive field (:class:`_ReceptiveField`)
+names the input position each fan-in slot of each window reads and, the
+other way, the windows that read each position and the slot at which they
+do. A conv window is one spatial output position, read by every output
+channel; an FC layer is one window; a max-pool window is one output element.
+It is the one place the engine works out which outputs a value reaches:
+weight (o, k) is read at slot k of every window, for output channel o, and
+an input position by each window that covers it, once per output channel.
 Only the elements of the faulted layer's output that read a flipped value
 inside its reuse window are recomputed, those of all the chunk's variables
 in one sum. They form the fault frontier, a flat list with one entry per
@@ -42,7 +50,9 @@ entries whose window patches fit in it. No chunking changes a result.
 
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
-``kernels.fc_elem``; every other element is the cached clean value, which
+``kernels.fc_elem``; a padded slot reads a stored 0.0, which adds nothing
+to such a sum, and a flipped weight's product there, which may be Inf or
+NaN, is taken as 0.0. Every other element is the cached clean value, which
 the whole-layer kernels produce. A frontier max-pool window takes the same
 fmax chain over the same members as ``kernels.maxpool2d``. The batched
 kernels give every batch item the bits they give it alone, so a faulty
@@ -401,185 +411,117 @@ def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None])
 
 
-def _covering(i: np.ndarray, k: int, stride: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """First and number of the outputs whose window of ``k`` positions, one
-    every ``stride``, covers position ``i``, for each of ``i``; they are
-    consecutive."""
-    d = i[:, None] - np.arange(n_out) * stride
-    hit = (d >= 0) & (d < k)
-    return hit.argmax(axis=1), hit.sum(axis=1)
-
-
-def _conv_terms(layer: Conv2D, w64: np.ndarray, x: np.ndarray, o, y, z):
-    """Clean products x * w of conv output elements (o[e], y[e], z[e]) over n
-    inputs, fan-in-major: (K, E, n), 0.0 where the element kernel skips a
-    padded position; with the fan-in positions' input values in float64
-    (K, E, n) and whether they lie inside the input (K, E)."""
-    _, ih, iw = x.shape[1:]
-    _, ic, kh, kw = w64.shape
-    c, ky, kz = (g.reshape(-1, 1) for g in np.indices((ic, kh, kw)))
-    sy = y * layer.stride - layer.pad + ky
-    sz = z * layer.stride - layer.pad + kz
-    inside = (sy >= 0) & (sy < ih) & (sz >= 0) & (sz < iw)
-    xs = x.transpose(1, 2, 3, 0)[c, np.clip(sy, 0, ih - 1), np.clip(sz, 0, iw - 1)]
-    xs = xs.astype(np.float64)
-    w = w64.reshape(len(w64), -1)[o].T
-    return np.where(inside[:, :, None], xs * w[:, :, None], 0.0), xs, inside
-
-
 def _faulty_outputs(
-    layer: Layer,
-    w64: np.ndarray | None,
-    x: np.ndarray,
-    clean: np.ndarray,
-    fmt: NumericFormat,
+    net: MicroNetwork,
+    cache: ActivationCache,
+    i: int,
+    cols: slice,
     var_type: FFType,
     var_indices: np.ndarray,
     bits: list[int],
     fault: FaultSpec,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fault frontier of one layer's output over a batch of n inputs,
-    with each of its variables ``var_indices`` flipped in turn, for each of
-    ``bits``: (owner, pos, vals), one entry per changed output element.
-    ``owner`` (E,) is the entry's variable, as an index into
+    """The fault frontier of layer i's output over the cached inputs
+    ``cols``, with each of its variables ``var_indices`` flipped in turn,
+    for each of ``bits``: (owner, pos, vals), one entry per changed output
+    element. ``owner`` (E,) is the entry's variable, as an index into
     ``var_indices``, ``pos`` (E,) the element's flat position within one
     output and ``vals`` (E, F, n) its values under each bit and input.
     Entries are in owner order; a variable that changes no element has
-    none. Every element without an entry is that of ``clean``.
+    none. Every element without an entry is that of the cached output.
 
-    ``x`` and ``clean`` are the layer's cached clean input and output, and
-    ``w64`` its weight in float64. The output elements that read a flipped
-    value inside its reuse window are recomputed, those of all the
-    variables in one batch, each summed sequentially
-    (``kernels.dot_sequential``).
+    The output elements that read a flipped value inside its reuse window
+    are looked up in the layer's receptive field (:class:`_ReceptiveField`)
+    and recomputed, those of all the variables in one batch: a conv or FC
+    element summed sequentially (``kernels.dot_sequential``), a max-pool
+    element as an fmax over its window.
     """
+    layer, fmt = net.layers[i], net.numeric_format
+    w64, rf = cache.weights64[i], cache.fields[i]
+    x, clean = cache.acts[i][cols], cache.acts[i + 1][cols]
     n, n_bits = len(x), len(bits)
     vs = np.asarray(var_indices, dtype=np.int64)
     if var_type is FFType.OUTPUT_ACTIVATION:
         values = clean.reshape(n, -1)
         _check_vars(vs, values.shape[1], var_type)
         return np.arange(len(vs)), vs, flip_bits(values[:, vs].T, bits, fmt).swapaxes(0, 1)
-    if var_type is FFType.INPUT_ACTIVATION:
-        _check_vars(vs, x[0].size, var_type)
-        xf = flip_bits(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
-        if isinstance(layer, ReLU):
-            return np.arange(len(vs)), vs, _apply_layer(layer, xf, fmt)
-        xf64 = xf.astype(np.float64)
 
-    # Each branch names the output elements to recompute (elems), the
-    # variable each belongs to (owner), in variable order, and
-    # recompute(sel) -> (E, F, n), the float64 values of the
-    # elements [sel]. A summing branch also names the fan-in position at
-    # which each element reads the flipped value (hit_k).
+    # Each output element to recompute is named by its output channel o and
+    # window u, the variable it belongs to (owner), in variable order, and
+    # the window slot at which it reads the flipped value (hit_k).
     if var_type is FFType.WEIGHT:
         if w64 is None:
             raise ValueError("weight fault on a layer without weights")
         _check_vars(vs, w64.size, var_type)
         wf = flip_bits(layer.weight.reshape(-1)[vs], bits, fmt).astype(np.float64)  # (F, V)
-        if isinstance(layer, FC):
-            # Each FC weight is read once per inference.
-            elems, hit_k = np.divmod(vs, w64.shape[1])
-            owner = np.arange(len(vs))
-            xt = x.astype(np.float64).T  # (K, n)
-
-            def recompute(sel):
-                terms = xt[:, None, :] * w64[elems[sel]].T[:, :, None]
-                faulty = wf[:, owner[sel]].T[:, :, None] * xt[hit_k[sel]][:, None, :]
-                return kernels.dot_sequential(terms, hit_k[sel], faulty)
-        else:
-            assert isinstance(layer, Conv2D)
-            _, oh, ow = clean.shape[1:]
-            o, k = np.divmod(vs, w64[0].size)
-            start, count = _window(vs, oh * ow, fault)
-            owner, rank = _spread(count, len(vs))
-            u = start[owner] + rank
-            oc, hit_k = o[owner], k[owner]
-            elems = oc * oh * ow + u
-            y, z = np.divmod(u, ow)
-
-            def recompute(sel):
-                terms, xs, inside = _conv_terms(layer, w64, x, oc[sel], y[sel], z[sel])
-                at = hit_k[sel], np.arange(terms.shape[1])
-                faulty = np.where(inside[at][:, None, None],
-                                  wf[:, owner[sel]].T[:, :, None] * xs[at][:, None, :], 0.0)
-                return kernels.dot_sequential(terms, hit_k[sel], faulty)
+        # Weight (o, k) is read by output channel o at slot k of every window.
+        o, k = np.divmod(vs, rf.reads.shape[1])
+        start, count = _window(vs, len(rf.reads), fault)
+        owner, rank = _spread(count, len(vs))
+        o, u, hit_k = o[owner], start[owner] + rank, k[owner]
     else:
         assert var_type is FFType.INPUT_ACTIVATION
-        if isinstance(layer, FC):
-            start, count = _window(vs, w64.shape[0], fault)
-            owner, rank = _spread(count, len(vs))
-            elems = start[owner] + rank
-            hit_k = vs[owner]
-            xt = x.astype(np.float64).T  # (K, n)
-
-            def recompute(sel):
-                w = w64[elems[sel]]
-                faulty = xf64[owner[sel]] * w[np.arange(len(w)), hit_k[sel]][:, None, None]
-                return kernels.dot_sequential(xt[:, None, :] * w.T[:, :, None], hit_k[sel], faulty)
-        elif isinstance(layer, Conv2D):
-            c, iy, iz = np.unravel_index(vs, x.shape[1:])
-            n_oc, _, kh, kw = w64.shape
-            _, oh, ow = clean.shape[1:]
-            s, pad = layer.stride, layer.pad
-            # The output positions whose receptive field covers (iy, iz), in
-            # row-major order; each is used once per output channel.
-            y0, ny = _covering(iy + pad, kh, s, oh)
-            z0, nz = _covering(iz + pad, kw, s, ow)
-            start, count = _window(vs, ny * nz * n_oc, fault)
-            owner, rank = _spread(count, len(vs))
-            p, o = np.divmod(start[owner] + rank, n_oc)
-            py, pz = np.divmod(p, nz[owner])
-            y, z = y0[owner] + py, z0[owner] + pz
-            elems = (o * oh + y) * ow + z
-            ky, kz = iy[owner] + pad - y * s, iz[owner] + pad - z * s
-            hit_k = (c[owner] * kh + ky) * kw + kz
-            w_hit = w64[o, c[owner], ky, kz]
-
-            def recompute(sel):
-                terms, _, _ = _conv_terms(layer, w64, x, o[sel], y[sel], z[sel])
-                faulty = xf64[owner[sel]] * w_hit[sel, None, None]
-                return kernels.dot_sequential(terms, hit_k[sel], faulty)
-        elif isinstance(layer, MaxPool2D):
-            c, iy, iz = np.unravel_index(vs, x.shape[1:])
-            k, s = layer.kernel, layer.stride
-            _, oh, ow = clean.shape[1:]
-            y0, ny = _covering(iy, k, s, oh)
-            z0, nz = _covering(iz, k, s, ow)
-            start, count = _window(vs, ny * nz, fault)
-            owner, rank = _spread(count, len(vs))
-            py, pz = np.divmod(start[owner] + rank, nz[owner])
-            y, z = y0[owner] + py, z0[owner] + pz
-            elems = (c[owner] * oh + y) * ow + z
-            hit = (iy[owner] - y * s) * k + iz[owner] - z * s
-            ky, kz = (g.reshape(-1) for g in np.indices((k, k)))
-            xt = x.transpose(1, 2, 3, 0)
-
-            def recompute(sel):
-                e = np.arange(len(hit[sel]))
-                # Unlike every other max-pool here, this one does not quiet
-                # signalling NaNs: a flipped input that is one (a flipped
-                # exponent can make one) wins every window it is in, as
-                # numpy's fmax.reduce answers it on a contiguous axis, which
-                # is why the patches are C-ordered (on a strided axis it
-                # gives the other operand). The reference engine does the
-                # same, and the committed benchmark archive records it;
-                # tests/test_engine.py pins four A(j) that quieting would
-                # move. (E, F, n, k*k)
-                patches = np.empty((len(e), n_bits, n, k * k))
-                patches[:] = xt[c[owner[sel], None], (y[sel] * s)[:, None] + ky,
-                                (z[sel] * s)[:, None] + kz].swapaxes(1, 2)[:, None]
-                patches[e, :, :, hit[sel]] = xf64[owner[sel]]
-                return np.fmax.reduce(patches, axis=3)
-        else:
+        _check_vars(vs, x[0].size, var_type)
+        xf = flip_bits(x.reshape(n, -1)[:, vs].T, bits, fmt).swapaxes(0, 1)  # (V, F, n)
+        if isinstance(layer, ReLU):
+            return np.arange(len(vs)), vs, _apply_layer(layer, xf, fmt)
+        if rf is None:
             raise ValueError(f"input-activation fault unsupported on {type(layer).__name__}")
+        xf64 = xf.astype(np.float64)
+        # Position p is read by count[p] windows, each once per output
+        # channel (a max-pool window has one): window-major, channel-minor.
+        n_oc = 1 if w64 is None else len(w64)
+        start, count = _window(vs, rf.count[vs] * n_oc, fault)
+        owner, rank = _spread(count, len(vs))
+        q, o = np.divmod(start[owner] + rank, n_oc)
+        u, hit_k = rf.cover[vs[owner], q], rf.slot[vs[owner], q]
+    n_win, n_slots = rf.reads.shape
+    elems = o * n_win + u
+
+    # recompute(sel) -> (E, F, n), the float64 values of the elements [sel].
+    if w64 is None:
+        xt = x.reshape(n, -1).T
+
+        def recompute(sel):
+            e = np.arange(len(u[sel]))
+            # Unlike every other max-pool here, this one does not quiet
+            # signalling NaNs: a flipped input that is one (a flipped
+            # exponent can make one) wins every window it is in, as
+            # numpy's fmax.reduce answers it on a contiguous axis, which
+            # is why the patches are C-ordered (on a strided axis it
+            # gives the other operand). The reference engine does the
+            # same, and the committed benchmark archive records it;
+            # tests/test_engine.py pins four A(j) that quieting would
+            # move. (E, F, n, k*k)
+            patches = np.empty((len(e), n_bits, n, n_slots))
+            patches[:] = xt[rf.reads[u[sel]]].swapaxes(1, 2)[:, None]
+            patches[e, :, :, hit_k[sel]] = xf64[owner[sel]]
+            return np.fmax.reduce(patches, axis=3)
+    else:
+        w = w64.reshape(len(w64), -1)
+        xt = rf.clean[:, cols]
+
+        def recompute(sel):
+            reads, wk = rf.reads[u[sel]].T, w[o[sel]].T  # (K, E)
+            xs = xt[reads]  # (K, E, n)
+            at = hit_k[sel], np.arange(reads.shape[1])
+            if var_type is FFType.WEIGHT:
+                # A flipped weight may be Inf or NaN: where its slot reads
+                # padding the product is 0.0, not its product with the 0.0
+                # stored there.
+                faulty = np.where((reads[at] < len(rf.count))[:, None, None],
+                                  wf[:, owner[sel]].T[:, :, None] * xs[at][:, None, :], 0.0)
+            else:
+                faulty = xf64[owner[sel]] * wk[at][:, None, None]
+            return kernels.dot_sequential(xs * wk[:, :, None], hit_k[sel], faulty)
     # Elements go in chunks whose (E, F, n, fan-in + 1) sums, or (E, F, n,
     # k*k) pool patches, stay within BATCH_BYTES; each element is computed
     # alone, so chunking changes no result.
-    per_elem = k * k if isinstance(layer, MaxPool2D) else w64[0].size + 1
+    per_elem = n_slots if w64 is None else n_slots + 1
     step = max(1, BATCH_BYTES // (8 * n * n_bits * per_elem))
     vals = np.empty((len(elems), n_bits, n), dtype=clean.dtype)
-    for i in range(0, len(elems), step):
-        vals[i : i + step] = _cast(recompute(slice(i, i + step)), fmt)
+    for j in range(0, len(elems), step):
+        vals[j : j + step] = _cast(recompute(slice(j, j + step)), fmt)
     return owner, elems, vals
 
 
@@ -640,42 +582,38 @@ def prediction_batches(
             with np.errstate(all="ignore"):
                 for j in range(0, n, in_step):
                     cols = slice(j, min(n, j + in_step))
-                    front = _faulty_outputs(
-                        net.layers[k], cache.weights64[k], cache.acts[k][cols],
-                        cache.acts[k + 1][cols], fmt, var_type, vs[pos], bits, fault,
-                    )
+                    front = _faulty_outputs(net, cache, k, cols, var_type, vs[pos], bits, fault)
                     preds.append(_frontier_predictions(net, cache, k + 1, len(pos), *front,
                                                        cols))
             yield pos, np.concatenate(preds, axis=2)
 
 
 def _pool_frontier(
-    layer: MaxPool2D, pool: _PoolTables, cols: slice, owner: np.ndarray, pos: np.ndarray,
-    vals: np.ndarray, fmt: NumericFormat,
+    rf: _ReceptiveField, cols: slice, owner: np.ndarray, pos: np.ndarray, vals: np.ndarray,
+    fmt: NumericFormat,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The fault frontier (owner, pos, vals) of a max-pool layer's output
     from that of its input (see :func:`_faulty_outputs`) over the cached
     inputs ``cols``.
 
     Only the windows that cover a changed position are recomputed, as
-    :func:`_apply_layer` computes them: the clean members from ``pool``
-    with the changed ones scattered in, quieted (:func:`_quiet`), fmax'd
-    in the (ky, kz) order of ``kernels.maxpool2d``, and cast. One output
-    entry is made per distinct (owner, window) pair, and each input entry
-    goes to its member slot of each window that covers it, so the scatter
-    takes O(E) index work. Output entries go in chunks whose (k*k + 1,
-    entries, F, n) patches stay within BATCH_BYTES; slot k*k takes the
-    changed values that no window of the chunk reads.
+    :func:`_apply_layer` computes them: the clean members from the layer's
+    receptive field ``rf`` with the changed ones scattered in, quieted
+    (:func:`_quiet`), fmax'd in the (ky, kz) order of ``kernels.maxpool2d``,
+    and cast. One output entry is made per distinct (owner, window) pair,
+    and each input entry goes to its slot of each window that covers it, so
+    the scatter takes O(E) index work. Output entries go in chunks whose
+    (k*k + 1, entries, F, n) patches stay within BATCH_BYTES; slot k*k
+    takes the changed values that no window of the chunk reads.
     """
-    k2 = layer.kernel ** 2
-    n_win = len(pool.members)
-    cover = pool.cover[pos]  # (E, Q)
+    n_win, k2 = rf.reads.shape
+    cover = rf.cover[pos]  # (E, Q)
     key, entry = np.unique(owner[:, None] * n_win + cover, return_inverse=True)
     entry = entry.reshape(cover.shape)  # the output entry of each covering window
     new_owner, new_pos = np.divmod(key, n_win)
-    member = pool.slot[pos]
+    member = rf.slot[pos]
     changed = vals[:, None]  # (E, 1, F, n)
-    clean = pool.clean[:, cols]
+    clean = rf.clean[:, cols]
     shape = vals.shape[1:]
     out = np.empty((len(key),) + shape, dtype=vals.dtype)
     step = max(1, BATCH_BYTES // (8 * (k2 + 1) * math.prod(shape)))
@@ -686,7 +624,7 @@ def _pool_frontier(
             m = np.where((entry >= a) & (entry < b), member, k2)
             s = np.clip(entry - a, 0, b - a - 1)
         patches = np.empty((k2 + 1, b - a) + shape, dtype=clean.dtype)
-        patches[:k2] = clean[pool.members[new_pos[a:b]].T][:, :, None]
+        patches[:k2] = clean[rf.reads[new_pos[a:b]].T][:, :, None]
         patches[m, s] = changed
         _quiet(patches, fmt, out=patches)
         # kernels.maxpool2d starts from a copy of member 0 and fmaxes member 0 into it
@@ -722,8 +660,7 @@ def _frontier_predictions(
         if isinstance(net.layers[i], ReLU):
             vals = _apply_layer(net.layers[i], vals, fmt)
         elif isinstance(net.layers[i], MaxPool2D):
-            owner, pos, vals = _pool_frontier(net.layers[i], cache.pools[i], cols, owner, pos,
-                                              vals, fmt)
+            owner, pos, vals = _pool_frontier(cache.fields[i], cols, owner, pos, vals, fmt)
         i += 1
     x = cache.acts[i][cols]
     clean = x.reshape(len(x), -1)
@@ -799,38 +736,66 @@ class EvalSet:
         return len(self.inputs)
 
 
-class _PoolTables(NamedTuple):
-    """What the fault frontier needs of one max-pool layer (see
-    :func:`_pool_frontier`); positions are flat within one input or
-    output, and a window is its flat output position. Each input position
-    has Q cover slots, Q the most windows that read any one position: one
-    per window that reads it, and each slot left over names its first
-    window (window 0 if none reads it) and member slot k*k, which no
-    maximum reads."""
+class _ReceptiveField(NamedTuple):
+    """Which input positions each output of one conv, FC or max-pool layer
+    reads, and the reverse; positions are flat within one input. A window
+    is one spatial output position of a conv (read by every output
+    channel), the one output of an FC layer, or one output element of a
+    max-pool; its K slots are the fan-in of an output element in the order
+    the element kernels sum it, (channel, row, column) for a conv, and the
+    (ky, kz) order of ``kernels.maxpool2d`` for a max-pool. Each input
+    position has Q cover slots, Q the most windows that read any one
+    position: one per window that reads it, in window order, and each slot
+    left over names its first window (window 0 if none reads it) and slot
+    K, which no window has."""
 
-    clean: np.ndarray  # (positions, n_inputs): the clean input, quieted (_quiet)
-    members: np.ndarray  # (windows, k*k): each window's input positions, in (ky, kz) order
-    cover: np.ndarray  # (positions, Q): the windows covering each position, in order
-    slot: np.ndarray  # (positions, Q): its member slot in each of those windows
+    reads: np.ndarray  # (windows, K): the position each slot reads; P, the input size, for padding
+    cover: np.ndarray  # (P, Q): the windows that read each position, in order
+    slot: np.ndarray  # (P, Q): its slot in each of those windows
+    count: np.ndarray  # (P,): how many windows read each position
+    # (P + 1, n_inputs): the clean input in float64, position P (padding)
+    # 0.0; for a max-pool (P, n_inputs), quieted (_quiet)
+    clean: np.ndarray
 
 
-def _pool_tables(layer: MaxPool2D, x: np.ndarray, fmt: NumericFormat) -> _PoolTables:
-    """The tables of a max-pool layer whose clean input is ``x`` (n, C, H,
-    W); see :class:`_PoolTables`."""
-    n, c, h, w = x.shape
-    k, s, k2 = layer.kernel, layer.stride, layer.kernel ** 2
-    ch, y, z = (g.reshape(-1, 1) for g in np.indices((c, (h - k) // s + 1, (w - k) // s + 1)))
-    ky, kz = np.divmod(np.arange(k2), k)
-    members = (ch * h + y * s + ky) * w + z * s + kz
-    at = np.argsort(members, axis=None, kind="stable")  # by position, then window
-    position = members.reshape(-1)[at]
-    counts = np.bincount(position, minlength=c * h * w)
-    cover = np.zeros((len(counts), max(1, int(counts.max()))), dtype=np.int64)
-    slot = np.full(cover.shape, k2, dtype=np.int64)
-    rank = np.arange(len(at)) - (np.cumsum(counts) - counts)[position]
-    cover[position, rank], slot[position, rank] = np.divmod(at, k2)
-    cover = np.where(slot < k2, cover, cover[:, :1])
-    return _PoolTables(np.ascontiguousarray(_quiet(x, fmt).reshape(n, -1).T), members, cover, slot)
+def _receptive_field(layer: Layer, x: np.ndarray, fmt: NumericFormat) -> _ReceptiveField:
+    """The receptive field of a conv, FC or max-pool layer whose clean input
+    is ``x`` (n, *shape); see :class:`_ReceptiveField`."""
+    n, size = len(x), x[0].size
+    if isinstance(layer, FC):
+        reads = np.arange(size)[None]
+    else:
+        c, h, w = x.shape[1:]
+        # A conv window reads every channel, a max-pool window one.
+        if isinstance(layer, Conv2D):
+            (kh, kw), pad = layer.weight.shape[2:], layer.pad
+            ch, ky, kz = np.indices((c, kh, kw)).reshape(3, 1, -1)
+            y, z = np.indices(_conv_out_hw(h, w, kh, kw, layer.stride, pad)).reshape(2, -1, 1)
+        else:
+            (kh, kw), pad = (layer.kernel,) * 2, 0
+            ky, kz = np.indices((kh, kw)).reshape(2, 1, -1)
+            oh, ow = _conv_out_hw(h, w, kh, kw, layer.stride, pad)
+            ch, y, z = np.indices((c, oh, ow)).reshape(3, -1, 1)
+        sy, sz = y * layer.stride - pad + ky, z * layer.stride - pad + kz
+        inside = (sy >= 0) & (sy < h) & (sz >= 0) & (sz < w)
+        reads = np.where(inside, (ch * h + sy) * w + sz, size)
+    k = reads.shape[1]
+    count = np.bincount(reads.reshape(-1), minlength=size + 1)[:size]
+    # By position, then window; padding sorts last and is dropped.
+    at = np.argsort(reads, axis=None, kind="stable")[: count.sum()]
+    position = reads.reshape(-1)[at]
+    cover = np.zeros((size, max(1, int(count.max()))), dtype=np.int64)
+    slot = np.full(cover.shape, k, dtype=np.int64)
+    rank = np.arange(len(at)) - (np.cumsum(count) - count)[position]
+    cover[position, rank], slot[position, rank] = np.divmod(at, k)
+    cover = np.where(slot < k, cover, cover[:, :1])
+    if isinstance(layer, MaxPool2D):
+        clean = np.ascontiguousarray(_quiet(x, fmt).reshape(n, -1).T)
+    else:
+        clean = np.zeros((size + 1, n))
+        clean[:size] = x.reshape(n, -1).T
+    # int32 halves the tables; an input of 2**31 positions could not be cached.
+    return _ReceptiveField(*(a.astype(np.int32) for a in (reads, cover, slot, count)), clean)
 
 
 class ActivationCache:
@@ -838,8 +803,9 @@ class ActivationCache:
     ``acts[i]`` is the input of layer i stacked over the inputs,
     (n_inputs, *shape), ``acts[-1]`` the network output and ``preds`` each
     input's predicted class. ``weights64[i]`` is layer i's weight in float64,
-    None for a layer without one; ``pools[i]`` the tables of max-pool layer
-    i (:class:`_PoolTables`), None for another layer."""
+    None for a layer without one; ``fields[i]`` the receptive field of conv,
+    FC or max-pool layer i (:class:`_ReceptiveField`), None for another
+    layer."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
         self.weights64 = [
@@ -848,9 +814,9 @@ class ActivationCache:
         ]
         self.acts = list(_layer_outputs(net, evalset.inputs, self.weights64))
         self.preds = _predict(self.acts[-1])
-        self.pools = [
-            _pool_tables(layer, self.acts[i], net.numeric_format)
-            if isinstance(layer, MaxPool2D) else None
+        self.fields = [
+            _receptive_field(layer, self.acts[i], net.numeric_format)
+            if isinstance(layer, (Conv2D, FC, MaxPool2D)) else None
             for i, layer in enumerate(net.layers)
         ]
 

@@ -121,8 +121,8 @@ def exhaustive_ra(
             f"{n_eval_sites} sites x {evalset.size} inputs exceeds "
             f"budget of {max_inferences} inferences"
         )
-    sa = accuracy(net, evalset)
     cache = ActivationCache(net, evalset)
+    sa = np.count_nonzero(cache.preds == evalset.labels) / evalset.size
     entries: dict[tuple[int, FFType], np.ndarray] = {}
     bits = range(table.bit_width)
     done = 0
@@ -151,17 +151,12 @@ def live_evaluator(
     semantics: FaultSemantics = FaultSemantics.TRUE,
 ):
     """A site -> accuracy callable backed by live fault injection, with the
-    clean activations precomputed once and results memoized per site."""
+    clean activations precomputed once. Each call injects anew: the
+    estimator asks each site once (``estimator._SiteMemo``)."""
     cache = ActivationCache(net, evalset)
-    memo: dict[SoftwareFaultSite, float] = {}
 
     def evaluate(site: SoftwareFaultSite) -> float:
-        a = memo.get(site)
-        if a is None:
-            fault = make_fault(site, config, semantics)
-            a = accuracy(net, evalset, fault, profile, cache)
-            memo[site] = a
-        return a
+        return accuracy(net, evalset, make_fault(site, config, semantics), profile, cache)
 
     return evaluate
 
@@ -234,12 +229,7 @@ class GridTally:
         return self.counts[(layer_id, var_type)] / self.occupied_pins()
 
 
-def grid_simulate(
-    grid: GridModel,
-    pin_count: int,
-    seed: int,
-    raw_fit_weights: dict[FFType, float] | None = None,
-) -> GridTally:
+def grid_simulate(grid: GridModel, pin_count: int, seed: int) -> GridTally:
     """Drop `pin_count` pins on the grid; pins land on a cell with
     probability proportional to the cell's row's raw FIT weight. Pins on
     idle or unoccupied cells are tallied separately."""
@@ -247,7 +237,7 @@ def grid_simulate(
         raise ValueError("pin_count must be >= 1")
     if grid.cell_count() <= 0:
         raise ValueError("empty grid")
-    weights = raw_fit_weights or grid.config.raw_fit
+    weights = grid.config.raw_fit
     # cell mass of a (layer, type) block = rows * cols * weight; None for
     # idle or unoccupied cells
     blocks: list[tuple[tuple[int, FFType] | None, float]] = []

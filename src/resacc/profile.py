@@ -152,17 +152,9 @@ def derive_profile(
         out_shape = network.output_shape_of(net_index)
         in_elems = _elems(in_shape)
         out_elems = _elems(out_shape)
-        if isinstance(layer, microdnn.Conv2D):
-            oc, ic, kh, kw = layer.weight.shape
-            mac = out_elems * ic * kh * kw
-            var_count = {
-                FFType.INPUT_ACTIVATION: in_elems,
-                FFType.WEIGHT: layer.weight.size,
-                FFType.OUTPUT_ACTIVATION: out_elems,
-            }
-        elif isinstance(layer, microdnn.FC):
-            fan_out, fan_in = layer.weight.shape
-            mac = fan_in * fan_out
+        if isinstance(layer, (microdnn.Conv2D, microdnn.FC)):
+            # each output element sums one weight row: (in_c, kh, kw) or (fan_in,)
+            mac = out_elems * layer.weight[0].size
             var_count = {
                 FFType.INPUT_ACTIVATION: in_elems,
                 FFType.WEIGHT: layer.weight.size,

@@ -21,7 +21,7 @@ from resacc.estimator import (
     ra_true_nc,
     uniform_site_mean,
 )
-from resacc.formats import NumericFormat, flip_bit, flip_bit_array
+from resacc.formats import NumericFormat, flip_bit
 from resacc.microdnn import FaultSemantics
 from resacc.oracle import (
     GridModel,
@@ -278,7 +278,7 @@ def test_criterion_10_bit_flip_correctness():
             dt = np.float32 if fmt is NumericFormat.FP32 else np.float16
             vals = (rng.standard_normal(10_000) * 8).astype(dt)
         for b in range(fmt.width):
-            back = flip_bit_array(flip_bit_array(vals, b, fmt), b, fmt)
+            back = flip_bit(flip_bit(vals, b, fmt), b, fmt)
             if not np.array_equal(back.view(fmt.bits_dtype),
                                   vals.view(fmt.bits_dtype)):
                 involution = False

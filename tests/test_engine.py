@@ -280,6 +280,111 @@ def test_pool_input_signalling_nans_win_their_windows():
     assert got.tolist() == [0.65, 0.275, 0.275, 0.475]
 
 
+@pytest.mark.parametrize("value", [1.0, 1.5], ids=["to_inf", "to_nan"])
+@pytest.mark.parametrize("fmt", [NumericFormat.FP32, NumericFormat.FP16], ids=lambda f: f.name)
+def test_a_flipped_weight_multiplies_no_padding(fmt, value):
+    """A conv weight whose top exponent bit flips to Inf (1.0) or NaN (1.5)
+    is seen, with a reuse of 1, by output (0, 0) alone, where it meets
+    padding: the element kernel skips that term, so the engine must not
+    multiply the flip by a stored 0.0. No ReLU or max-pool sits between the
+    conv and the FC layer, so a NaN element would reach every logit."""
+    rng = np.random.default_rng(21)
+    w = _weights(rng, (1, 1, 3, 3), fmt)
+    w[0, 0, 0, 0] = value
+    net = MicroNetwork([Conv2D(w, pad=1), Flatten(), FC(_weights(rng, (3, 16), fmt)), Softmax()],
+                       (1, 4, 4), fmt)
+    profile = derive_profile(net, make_config(fmt))
+    inputs = rng.uniform(-1, 1, size=(6, 1, 4, 4)).astype(fmt.dtype)
+    cache = ActivationCache(net, EvalSet(inputs, np.zeros(len(inputs), dtype=np.int64)))
+    site = SoftwareFaultSite(profile.layers[0].layer_id, FFType.WEIGHT, 0, 0)
+    got = faulty_predictions(net, FaultSpec(site, FaultMode.REUSE_BOUNDED), profile, cache,
+                             range(fmt.width))
+    want = [[reference_infer(net, x, FaultSpec(site._replace(bit_pos=b), FaultMode.REUSE_BOUNDED),
+                             profile) for x in inputs] for b in range(fmt.width)]
+    assert got.tolist() == want
+    assert {p for row in want for p in row} != {0}  # NaN logits would all give class 0
+
+
+# --- receptive fields ------------------------------------------------------------
+
+class _Reads:
+    """Stands in for an array given to an element kernel: answers each
+    index with the flat positions it names, as float64, and records them."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.pos = np.arange(int(np.prod(shape)), dtype=np.float64).reshape(shape)
+        self.read = []
+
+    def __getitem__(self, index):
+        got = self.pos[index]
+        self.read.append(got)
+        return got
+
+
+def _check_cover(rf, size):
+    """Each position's cover slots list the (window, slot) pairs that read
+    it, each once, in window order; the slots left over name its first
+    window (window 0 if none) and slot K."""
+    n_slots = rf.reads.shape[1]
+    for p in range(size):
+        pairs = list(zip(*(a.tolist() for a in np.nonzero(rf.reads == p))))
+        used = int(rf.count[p])
+        assert used == len(pairs)
+        assert list(zip(rf.cover[p, :used].tolist(), rf.slot[p, :used].tolist())) == pairs
+        assert np.all(rf.slot[p, used:] == n_slots)
+        assert np.all(rf.cover[p, used:] == (pairs[0][0] if pairs else 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2))
+def test_receptive_fields_name_what_the_element_kernels_read(seed, stride, pad):
+    """A conv, FC or max-pool window read through ``reads``, padding left
+    out, gives the input positions ``kernels.conv2d_elem``, ``fc_elem`` and
+    ``maxpool2d`` read, in their order, with the weight slot each is
+    multiplied by; ``cover`` and ``slot`` invert it."""
+    rng = np.random.default_rng(seed)
+    fmt = NumericFormat.FP32
+    ic, oc = (int(v) for v in rng.integers(1, 4, size=2))
+    h, w = (int(v) for v in rng.integers(1, 9, size=2))
+    kh, kw = (int(rng.integers(1, min(4, n + 2 * pad) + 1)) for n in (h, w))
+    x = rng.normal(size=(2, ic, h, w)).astype(fmt.dtype)
+    size = x[0].size
+
+    conv = Conv2D(rng.normal(size=(oc, ic, kh, kw)).astype(fmt.dtype), stride, pad)
+    rf = microdnn._receptive_field(conv, x, fmt)
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    assert rf.reads.shape == (oh * ow, ic * kh * kw)
+    for u in range(oh * ow):
+        xr, wr = _Reads(x.shape[1:]), _Reads(conv.weight.shape)
+        kernels.conv2d_elem(xr, wr, 0, *divmod(u, ow), stride, pad)
+        inside = rf.reads[u] < size
+        assert rf.reads[u][inside].tolist() == xr.read
+        assert np.flatnonzero(inside).tolist() == wr.read  # output channel 0: slot k is weight k
+    _check_cover(rf, size)
+    assert np.array_equal(rf.clean[:size], x.reshape(2, -1).T) and not rf.clean[size].any()
+
+    fan_in = size
+    fc = FC(rng.normal(size=(oc, fan_in)).astype(fmt.dtype))
+    rf = microdnn._receptive_field(fc, x.reshape(2, -1), fmt)
+    xr, wr = _Reads((fan_in,)), _Reads(fc.weight.shape)
+    kernels.fc_elem(xr, wr, 0)
+    assert rf.reads.tolist() == [xr.read] and wr.read == xr.read
+    _check_cover(rf, fan_in)
+
+    for kernel in range(1, min(3, h, w) + 1):
+        for pool_stride in (1, 2, 3):  # overlapping, tiling and gapped windows
+            pool = MaxPool2D(kernel, pool_stride)
+            rf = microdnn._receptive_field(pool, x, fmt)
+            xr = _Reads((1,) + x.shape[1:])
+            kernels.maxpool2d(xr, kernel, pool_stride)
+            first, *members = xr.read  # the copy of member 0, then every member
+            assert np.array_equal(first, members[0])
+            assert np.array_equal(rf.reads, np.reshape(members, (kernel**2, -1)).T)
+            _check_cover(rf, size)
+            assert np.array_equal(rf.clean, x.reshape(2, -1).T)
+
+
 # --- kernels -------------------------------------------------------------------
 
 @settings(max_examples=100, deadline=None)
@@ -561,12 +666,12 @@ def test_batches_of_variables_equal_one_variable_at_a_time(monkeypatch, toy, fmt
     sums = []
     faulty_outputs, dot_sequential = microdnn._faulty_outputs, kernels.dot_sequential
 
-    def spy_outputs(layer, w64, x, clean, fmt, var_type, var_indices, bits, fault):
+    def spy_outputs(net, cache, i, cols, var_type, var_indices, bits, fault):
         sums.append(0)
-        out = faulty_outputs(layer, w64, x, clean, fmt, var_type, var_indices, bits, fault)
+        out = faulty_outputs(net, cache, i, cols, var_type, var_indices, bits, fault)
         if 1 < len(var_indices) < c.var_count:
             seen.add("variables")
-        if len(x) < evalset.size:
+        if len(range(evalset.size)[cols]) < evalset.size:
             seen.add("inputs")
         if sums[-1] > 1:
             seen.add("elements")

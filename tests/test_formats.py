@@ -10,7 +10,6 @@ from resacc.formats import (
     bit_field,
     default_bp_drop,
     flip_bit,
-    flip_bit_array,
     flip_bits,
 )
 
@@ -44,7 +43,7 @@ class TestKnownFlips:
 def test_involution_exhaustive(fmt):
     vals = _random_values(fmt, 10_000, seed=13)
     for bit in range(fmt.width):
-        twice = flip_bit_array(flip_bit_array(vals, bit, fmt), bit, fmt)
+        twice = flip_bit(flip_bit(vals, bit, fmt), bit, fmt)
         assert np.array_equal(
             twice.view(fmt.bits_dtype), vals.view(fmt.bits_dtype)
         ), f"{fmt} bit {bit} is not an involution"
@@ -55,7 +54,7 @@ def test_flip_changes_exactly_one_bit(fmt):
     vals = _random_values(fmt, 500, seed=3)
     for bit in range(fmt.width):
         x = vals.view(fmt.bits_dtype).astype(np.int64)
-        y = flip_bit_array(vals, bit, fmt).view(fmt.bits_dtype).astype(np.int64)
+        y = flip_bit(vals, bit, fmt).view(fmt.bits_dtype).astype(np.int64)
         assert np.all((x ^ y) == (1 << bit))
 
 
@@ -63,7 +62,7 @@ def test_flip_changes_exactly_one_bit(fmt):
 def test_scalar_matches_array(fmt):
     vals = _random_values(fmt, 64, seed=5)
     for bit in (0, fmt.width // 2, fmt.width - 1):
-        arr = flip_bit_array(vals, bit, fmt)
+        arr = flip_bit(vals, bit, fmt)
         for i in range(len(vals)):
             s = flip_bit(vals[i], bit, fmt)
             assert s.view(fmt.bits_dtype) == arr[i].view(fmt.bits_dtype)

@@ -140,7 +140,7 @@ def test_live_evaluator_matches_archive(dense_ctx, dense_oracle):
     for s in sites:
         a = ev(s)
         assert a == arch.evaluator(s)
-        assert ev(s) == a  # memoized second lookup agrees
+        assert ev(s) == a  # a second evaluation agrees
 
 
 def test_live_evaluator_sw_rejects_crash_sites(dense_ctx):
