@@ -5,6 +5,10 @@ Every output CSV opens with a comment line carrying a schema tag, the hash
 of the run inputs, and the seed, so identical runs produce byte-identical
 files. Exit codes: 0 success, 1 usage error, 2 validation failure, 3 scale
 guard exceeded.
+
+``compare`` is ``estimate --poc`` over lists of strategies and seeds, plus
+median rows, through one driver. ``study`` runs the TRUE oracle once;
+``study methods`` takes RA_SW from the batched engine under the scale guard.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .oracle import (
     GridModel,
     ScaleGuardExceeded,
     analytical_class_probs,
+    evaluate_classes,
     exhaustive_ra,
     grid_simulate,
     live_evaluator,
@@ -279,29 +284,6 @@ def cmd_probs(args, out: RunOutputs) -> int:
     return EXIT_OK
 
 
-def _poc_criteria(args) -> PoCCriteria:
-    """The convergence test of a --poc run. It is built, and --max-samples
-    checked, before the exhaustive oracle runs, so that a bad --threshold or
-    --max-samples costs no oracle run."""
-    criteria = PoCCriteria(mean_tol=args.threshold)
-    if args.max_samples < 1:
-        raise ValidationError(f"max_samples = {args.max_samples} must be at least 1")
-    return criteria
-
-
-def _run_estimate(strategy, seed, table, profile, evaluator, sa, uf, args,
-                  ground_truth=None, criteria=None):
-    """A fixed-budget run, or, given the ground truth and ``criteria``, a
-    run to the point of convergence."""
-    pdf = build_pdf(strategy, table, profile, sa=sa)
-    if criteria is not None:
-        return estimate_ra(
-            pdf, table, evaluator, criteria=criteria, ground_truth=ground_truth,
-            seed=seed, sa=sa, uf=uf, max_samples=args.max_samples,
-        )
-    return estimate_ra(pdf, table, evaluator, samples=args.samples, seed=seed, sa=sa, uf=uf)
-
-
 def _trace_rows(est):
     c = est.contribs
     n = len(c)
@@ -314,90 +296,65 @@ def _trace_rows(est):
     return [(int(i), float(m), float(v)) for i, m, v in zip(idx, mean, var)]
 
 
-def cmd_estimate(args, out: RunOutputs) -> int:
-    if args.samples is None and not args.poc:
-        raise UsageError("need --samples K or --poc")
+def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
+    """One ``estimate_ra`` per (strategy, seed), each strategy's PDF built
+    once: a fixed-budget run over live injection or, with --poc, a run to
+    the point of convergence over the exhaustive oracle's archive. The PDFs
+    and the convergence test are built first, so a bad argument costs no
+    oracle run. Writes each trace and ``summary.csv``, with each strategy's
+    median row if ``medians``; returns the exhaustive RA (None without
+    --poc) and the estimates."""
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
     semantics = _semantics(args, table)
     sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
     spec_hash = _hash_for(args, need_evalset=True)
-    ground_truth = criteria = None
+    pdfs = [build_pdf(s, table, profile, sa=sa) for s in strategies]
+    truth, budget = None, {"samples": args.samples}
     if args.poc:
-        criteria = _poc_criteria(args)
+        criteria = PoCCriteria(mean_tol=args.threshold)
+        if args.max_samples < 1:
+            raise ValidationError(f"max_samples = {args.max_samples} must be at least 1")
         result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf)
-        ground_truth = result.ra
-        evaluator = archive.evaluator
+        truth, evaluator = result.ra, archive.evaluator
+        budget = {"criteria": criteria, "ground_truth": truth, "max_samples": args.max_samples}
     else:
         evaluator = live_evaluator(net, evalset, profile, config, semantics)
-    strategy = SamplingStrategy(args.strategy)
-    est = _run_estimate(
-        strategy, args.seed, table, profile, evaluator, sa, uf, args, ground_truth, criteria
-    )
-    out.write_csv(
-        f"trace_{strategy.value}_seed{args.seed}.csv",
-        "sample_index,running_mean,running_variance",
-        _trace_rows(est),
-        spec_hash,
-        args.seed,
-    )
-    out.write_csv(
-        "summary.csv",
-        "strategy,seed,ra,samples_to_poc",
-        [(strategy.value, args.seed, est.mean,
-          est.poc_index if est.poc_index is not None else "")],
-        spec_hash,
-        args.seed,
-    )
-    print(f"strategy={strategy.value} seed={args.seed} ra={est.mean!r} "
+    rows, median_rows, ests = [], [], []
+    for strategy, pdf in zip(strategies, pdfs):
+        runs = [estimate_ra(pdf, table, evaluator, seed=s, sa=sa, uf=uf, **budget) for s in seeds]
+        for seed, est in zip(seeds, runs):
+            out.write_csv(f"trace_{strategy.value}_seed{seed}.csv",
+                          "sample_index,running_mean,running_variance",
+                          _trace_rows(est), spec_hash, seed)
+            rows.append((strategy.value, seed, est.mean,
+                         est.poc_index if est.poc_index is not None else ""))
+        pocs = [e.poc_index for e in runs if e.poc_index is not None]
+        median_rows.append((strategy.value, "median", float(np.median([e.mean for e in runs])),
+                            float(np.median(pocs)) if pocs else ""))
+        ests += runs
+    out.write_csv("summary.csv", "strategy,seed,ra,samples_to_poc",
+                  rows + (median_rows if medians else []), spec_hash, args.seed)
+    return truth, ests
+
+
+def cmd_estimate(args, out: RunOutputs) -> int:
+    if args.samples is None and not args.poc:
+        raise UsageError("need --samples K or --poc")
+    _, (est,) = _estimate(args, out, [SamplingStrategy(args.strategy)], [args.seed])
+    print(f"strategy={args.strategy} seed={args.seed} ra={est.mean!r} "
           f"samples={est.samples_drawn} poc={est.poc_index}")
     return EXIT_OK
 
 
 def cmd_compare(args, out: RunOutputs) -> int:
-    config, net, profile, evalset = _build_context(args, need_evalset=True)
-    table = build_table(profile, config)
-    semantics = _semantics(args, table)
-    sa = accuracy(net, evalset, None, profile)
-    uf = _uf_map(args, profile)
-    spec_hash = _hash_for(args, need_evalset=True)
     seeds = [int(s) for s in args.seeds.split(",") if s != ""]
     if not seeds:
         raise UsageError("--seeds must name at least one seed")
     strategies = [SamplingStrategy(s) for s in args.strategies.split(",")]
-    criteria = _poc_criteria(args)
-    result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf)
-    summary = []
-    per_strategy: dict[str, list] = {s.value: [] for s in strategies}
-    for strategy in strategies:
-        for seed in seeds:
-            est = _run_estimate(
-                strategy, seed, table, profile, archive.evaluator, sa, uf, args,
-                ground_truth=result.ra, criteria=criteria,
-            )
-            out.write_csv(
-                f"trace_{strategy.value}_seed{seed}.csv",
-                "sample_index,running_mean,running_variance",
-                _trace_rows(est),
-                spec_hash,
-                seed,
-            )
-            poc = est.poc_index if est.poc_index is not None else ""
-            summary.append((strategy.value, seed, est.mean, poc))
-            per_strategy[strategy.value].append(est.poc_index)
-    for strategy in strategies:
-        pocs = per_strategy[strategy.value]
-        med = (
-            float(np.median([p for p in pocs if p is not None]))
-            if any(p is not None for p in pocs) else ""
-        )
-        ras = [row[2] for row in summary if row[0] == strategy.value]
-        summary.append((strategy.value, "median", float(np.median(ras)), med))
-    out.write_csv(
-        "summary.csv", "strategy,seed,ra,samples_to_poc", summary, spec_hash, args.seed
-    )
-    print(f"exhaustive ra={result.ra!r}; wrote {len(strategies) * len(seeds)} traces")
+    truth, _ = _estimate(args, out, strategies, seeds, medians=True)
+    print(f"exhaustive ra={truth!r}; wrote {len(strategies) * len(seeds)} traces")
     return EXIT_OK
 
 
@@ -449,32 +406,27 @@ def cmd_study(args, out: RunOutputs) -> int:
     sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
     table = build_table(profile, config)
+    true_res, archive = exhaustive_ra(profile, config, net, evalset, FaultSemantics.TRUE)
     if args.study == "methods":
-        true_res, true_arch = exhaustive_ra(
-            profile, config, net, evalset, FaultSemantics.TRUE
+        datapath = [c for c in table.classes if c.layer_id != CONTROL_LAYER]
+        sw = evaluate_classes(
+            net, evalset, profile, config, datapath, table.bit_width, FaultSemantics.SW
         )
-        sw_eval = live_evaluator(net, evalset, profile, config, FaultSemantics.SW)
         rows = [
             ("RA_True", true_res.ra),
-            ("RA_True-nc", ra_true_nc(table, true_arch.evaluator, sa).ra),
-            ("RA_SW", uniform_site_mean(sw_eval, table, include_control=False)),
-            ("RA_SW-cA", uniform_site_mean(true_arch.evaluator, table, include_control=True)),
+            ("RA_True-nc", ra_true_nc(table, archive.evaluator, sa).ra),
+            ("RA_SW", uniform_site_mean(sw.evaluator, table, include_control=False)),
+            ("RA_SW-cA", uniform_site_mean(archive.evaluator, table, include_control=True)),
         ]
         out.write_csv("study_methods.csv", "method,ra", rows, spec_hash, args.seed)
     elif args.study == "harden":
-        _, archive = exhaustive_ra(profile, config, net, evalset, FaultSemantics.TRUE)
-        results = hardening_study(
-            profile, config, archive.evaluator, sa,
-            hardened_fit=args.harden_fit, uf=uf,
-        )
+        results = hardening_study(profile, config, archive.evaluator, sa,
+                                  hardened_fit=args.harden_fit, uf=uf)
         rows = [(name, r.ra) for name, r in results.items()]
         out.write_csv("study_harden.csv", "hardened,ra", rows, spec_hash, args.seed)
     else:
-        _, archive = exhaustive_ra(profile, config, net, evalset, FaultSemantics.TRUE)
-        rows = []
-        for t in args.thresholds:
-            fit, sdc = fit_sdc_rates(archive.evaluator, table, config, t, sa)
-            rows.append((t, fit, sdc))
+        rows = [(t, *fit_sdc_rates(archive.evaluator, table, config, t, sa))
+                for t in args.thresholds]
         out.write_csv(
             "study_fitrate.csv", "threshold,fit_rate,sdc_rate", rows, spec_hash, args.seed
         )

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -182,7 +181,9 @@ def build_pdf(
     MacWeighted covers local-control sites via the average per-weight MAC
     count of the datapath variable they corrupt, and skips global-control
     sites (their integrand is exactly zero: a crash has accuracy 0). The
-    other strategies cover every site.
+    other strategies cover every site. ImportanceBP raises a ValueError when
+    SA is at most a bit's assumed drop, which would give that bit's
+    non-crash sites of nonzero p(j) no weight.
     """
     if strategy in (SamplingStrategy.UNIFORM, SamplingStrategy.IMPORTANCE):
         cols = _units_from_table(table, set(FFType))
@@ -197,7 +198,18 @@ def build_pdf(
         drops = bp_model if bp_model is not None else default_bp_drop_for(table)
         cols = _units_from_table(table, set(FFType))
         ahat = np.asarray([max(0.0, sa - drops.get(b, 0.0)) for b in cols["bit"]])
-        weights = np.asarray(cols["p"]) * np.asarray(cols["members"], dtype=np.float64) * ahat
+        # A unit the prior gives no accuracy would never be drawn, though
+        # its sites' p(j) * A(j) need not be 0: only a crash's is.
+        p = np.asarray(cols["p"])
+        crash = np.asarray(cols["type"]) == _FFTYPES.index(FFType.CONTROL_GLOBAL)
+        lost = (ahat == 0.0) & (p > 0.0) & ~crash
+        if lost.any():
+            bits = np.unique(np.asarray(cols["bit"])[lost]).tolist()
+            raise ValueError(
+                f"is-b: SA {float(sa)!r} is at most the assumed accuracy drop of bits {bits}, "
+                f"so their sites would never be drawn"
+            )
+        weights = p * np.asarray(cols["members"], dtype=np.float64) * ahat
         return _make_pdf(cols, weights)
     assert strategy is SamplingStrategy.MAC_WEIGHTED
     include = set(DATAPATH_TYPES) | {FFType.CONTROL_LOCAL}
@@ -474,15 +486,14 @@ def fit_sdc_rates(
     config: AcceleratorConfig,
     threshold: float,
     sa: float,
-    crash_sites: Callable[[SoftwareFaultSite], bool] | None = None,
 ) -> tuple[float, float]:
     """(FIT-style, SDC-style) failure rates at an accuracy-drop threshold.
 
     A site counts as failing when SA - A(j) > threshold. The FIT-style rate
     includes crash sites; the SDC-style rate excludes them. Both are scaled
     by the configured raw FIT mass (sum of ff_count * raw_fit), so they are
-    comparable across hardening configurations. `crash_sites` is asked only
-    about failing sites; by default the global-control ones crash.
+    comparable across hardening configurations. The global-control sites
+    are the ones that crash.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must be in (0, 1]")
@@ -490,16 +501,10 @@ def fit_sdc_rates(
     sdc_terms = []
     accs = class_accuracies(table.classes, table.bit_width, evaluator)
     for c, a in zip(table.classes, accs):
-        fails = np.flatnonzero(sa - a > threshold)  # var-major, as the sites run
-        if crash_sites is None:
-            crash = np.full(len(fails), c.var_type is FFType.CONTROL_GLOBAL)
-        else:
-            crash = np.array([
-                crash_sites(SoftwareFaultSite(c.layer_id, c.var_type, *divmod(j, table.bit_width)))
-                for j in fails.tolist()
-            ], dtype=bool)
-        fit_terms.append(np.full(len(fails), c.per_var_per_bit_prob))
-        sdc_terms.append(np.full(np.count_nonzero(~crash), c.per_var_per_bit_prob))
+        fails = np.count_nonzero(sa - a > threshold)
+        crash = c.var_type is FFType.CONTROL_GLOBAL
+        fit_terms.append(np.full(fails, c.per_var_per_bit_prob))
+        sdc_terms.append(np.full(0 if crash else fails, c.per_var_per_bit_prob))
     fit_mass = _fit_mass(config)
     return (sequential_sum(np.concatenate(fit_terms)) * fit_mass,
             sequential_sum(np.concatenate(sdc_terms)) * fit_mass)

@@ -69,23 +69,6 @@ def flip_bit(value, bit_pos: int, fmt: NumericFormat):
     return flip_bits(value, [bit_pos], fmt)[0]
 
 
-def bit_field(fmt: NumericFormat, bit_pos: int) -> str:
-    """Classify a bit position as 'sign', 'exponent' or 'fraction'.
-
-    For INT8 the sign bit is reported as 'sign' and everything else as
-    'fraction' (there is no exponent field).
-    """
-    if not 0 <= bit_pos < fmt.width:
-        raise ValueError(f"bit_pos {bit_pos} out of range for {fmt.value}")
-    if bit_pos == fmt.width - 1:
-        return "sign"
-    if fmt in _EXP_FIELD:
-        lo, n = _EXP_FIELD[fmt]
-        if lo <= bit_pos < lo + n:
-            return "exponent"
-    return "fraction"
-
-
 def default_bp_drop(fmt: NumericFormat) -> dict[int, float]:
     """Default per-bit assumed accuracy drops for the bit-position sampling
     heuristic: 15 points for the most significant exponent bit, 8 points for

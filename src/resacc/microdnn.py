@@ -356,10 +356,6 @@ def forward(net: MicroNetwork, x: np.ndarray) -> np.ndarray:
     return _forward(net, np.asarray(x)[None])[0]
 
 
-def infer(net: MicroNetwork, x: np.ndarray) -> int:
-    return int(_predict(_forward(net, np.asarray(x)[None]))[0])
-
-
 def clean_activations(net: MicroNetwork, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer inputs plus the final output of one input, all in the
     storage format."""
@@ -507,10 +503,11 @@ def _faulty_outputs(
             at = hit_k[sel], np.arange(reads.shape[1])
             if var_type is FFType.WEIGHT:
                 # A flipped weight may be Inf or NaN: where its slot reads
-                # padding the product is 0.0, not its product with the 0.0
-                # stored there.
-                faulty = np.where((reads[at] < len(rf.count))[:, None, None],
-                                  wf[:, owner[sel]].T[:, :, None] * xs[at][:, None, :], 0.0)
+                # padding it is zeroed, so the product is the 0.0 stored
+                # there, not NaN. (E, F)
+                w_hit = wf[:, owner[sel]].T
+                w_hit[reads[at] >= len(rf.count)] = 0.0
+                faulty = w_hit[:, :, None] * xs[at][:, None, :]
             else:
                 faulty = xf64[owner[sel]] * wk[at][:, None, None]
             return kernels.dot_sequential(xs * wk[:, :, None], hit_k[sel], faulty)

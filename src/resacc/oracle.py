@@ -17,6 +17,7 @@ import numpy as np
 from .microdnn import (
     ActivationCache,
     EvalSet,
+    FaultMode,
     FaultSemantics,
     MicroNetwork,
     accuracy,
@@ -24,6 +25,7 @@ from .microdnn import (
     prediction_batches,
 )
 from .probtransfer import (
+    ProbClass,
     RAResult,
     UFMap,
     build_table,
@@ -97,25 +99,49 @@ def exhaustive_ra(
     max_inferences: int = 10**6,
     progress=None,
 ) -> tuple[RAResult, SiteArchive]:
-    """Evaluate A(j) for every fault site and return the exact RA.
+    """Evaluate A(j) for every fault site and return the exact RA, with the
+    archive of every class of the table (:func:`evaluate_classes`, which
+    takes `max_inferences` and `progress`). `uf` maps a layer id to its
+    utilization, as in `ra_expected`."""
+    table = build_table(profile, config)
+    archive = evaluate_classes(
+        net, evalset, profile, config, table.classes, table.bit_width, semantics,
+        max_inferences, progress,
+    )
+    accs = [archive.entries[(c.layer_id, c.var_type)] for c in table.classes]
+    return ra_from_accuracies(table, accs, archive.sa, uf), archive
+
+
+def evaluate_classes(
+    net: MicroNetwork,
+    evalset: EvalSet,
+    profile: NetworkProfile,
+    config: AcceleratorConfig,
+    classes: list[ProbClass],
+    bit_width: int,
+    semantics: FaultSemantics = FaultSemantics.TRUE,
+    max_inferences: int = 10**6,
+    progress=None,
+) -> SiteArchive:
+    """A(j) of every site of `classes`, as an archive.
 
     Each class is evaluated a chunk of variables at a time, over all their
     bits in one batch (`microdnn.prediction_batches`); `progress`, when
     given, is called as progress(sites_done, sites_total) after each chunk,
     with `sites_done` strictly increasing up to `sites_total`. Crash classes
-    cost no inference (their accuracy is 0 by definition).
-    `uf` maps a layer id to its utilization, as in `ra_expected`.
+    cost no inference (their accuracy is 0 by definition). Every class's
+    fault is resolved before anything is evaluated, so a class the
+    semantics do not model raises at once.
     Raises ScaleGuardExceeded when sites x evalset would exceed
     `max_inferences`.
     """
-    table = build_table(profile, config)
-    crash = [
-        c for c in table.classes
-        if semantics is FaultSemantics.TRUE and c.var_type is FFType.CONTROL_GLOBAL
+    faults = [
+        make_fault(SoftwareFaultSite(c.layer_id, c.var_type, 0, 0), config, semantics)
+        for c in classes
     ]
-    n_eval_sites = table.total_sites - sum(
-        c.var_count * table.bit_width for c in crash
-    )
+    live = [(c, f) for c, f in zip(classes, faults)
+            if c.var_count and f.mode is not FaultMode.CRASH]
+    n_eval_sites = sum(c.var_count for c, _ in live) * bit_width
     if n_eval_sites * evalset.size > max_inferences:
         raise ScaleGuardExceeded(
             f"{n_eval_sites} sites x {evalset.size} inputs exceeds "
@@ -123,24 +149,21 @@ def exhaustive_ra(
         )
     cache = ActivationCache(net, evalset)
     sa = np.count_nonzero(cache.preds == evalset.labels) / evalset.size
-    entries: dict[tuple[int, FFType], np.ndarray] = {}
-    bits = range(table.bit_width)
+    entries = {
+        (c.layer_id, c.var_type): np.zeros((c.var_count, bit_width), dtype=np.float64)
+        for c in classes
+    }
+    bits = range(bit_width)
     done = 0
-    for c in table.classes:
-        arr = np.zeros((c.var_count, table.bit_width), dtype=np.float64)
-        entries[(c.layer_id, c.var_type)] = arr
-        if c in crash or c.var_count == 0:
-            continue
-        fault = make_fault(SoftwareFaultSite(c.layer_id, c.var_type, 0, 0), config, semantics)
+    for c, fault in live:
+        arr = entries[(c.layer_id, c.var_type)]
         batches = prediction_batches(net, fault, profile, cache, bits, np.arange(c.var_count))
         for positions, preds in batches:
             arr[positions] = np.count_nonzero(preds == evalset.labels, axis=2) / evalset.size
-            done += len(positions) * table.bit_width
+            done += len(positions) * bit_width
             if progress is not None:
                 progress(done, n_eval_sites)
-    archive = SiteArchive(entries=entries, sa=sa, semantics=semantics)
-    accs = [entries[(c.layer_id, c.var_type)] for c in table.classes]
-    return ra_from_accuracies(table, accs, sa, uf), archive
+    return SiteArchive(entries=entries, sa=sa, semantics=semantics)
 
 
 def live_evaluator(
@@ -275,23 +298,6 @@ def grid_simulate(grid: GridModel, pin_count: int, seed: int) -> GridTally:
         else:
             counts[key] = counts.get(key, 0) + int(n)
     return GridTally(counts=counts, idle=idle, pins=pin_count)
-
-
-def measured_uf(grid: GridModel) -> dict[int, float]:
-    """Per-layer fraction of datapath cells holding live data."""
-    out = {}
-    dp_rows = sum(grid.rows[t] for t in DATAPATH_TYPES)
-    for layer in grid.profile.layers:
-        total = dp_rows * grid.cols[layer.layer_id]
-        if total == 0:
-            out[layer.layer_id] = 0.0
-            continue
-        occupied = 0.0
-        for t in DATAPATH_TYPES:
-            if layer.var_count.get(t, 0) >= 1:
-                occupied += grid.rows[t] * grid.cols[layer.layer_id] * layer.utilization
-        out[layer.layer_id] = occupied / total
-    return out
 
 
 def analytical_class_probs(

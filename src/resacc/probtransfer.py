@@ -104,12 +104,6 @@ class SiteProbabilityTable:
     def total_prob(self) -> float:
         return sum(c.total_prob(self.bit_width) for c in self.classes)
 
-    def class_for(self, layer_id: int, var_type: FFType) -> ProbClass:
-        for c in self.classes:
-            if c.layer_id == layer_id and c.var_type == var_type:
-                return c
-        raise KeyError(f"no class (layer {layer_id}, {var_type.value})")
-
 
 def build_table(profile: NetworkProfile, config: AcceleratorConfig) -> SiteProbabilityTable:
     """Closed-form per-(layer, type) probabilities; sums to 1 over all sites."""

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import FrozenInstanceError, dataclass, field, replace
 from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -121,11 +120,6 @@ class NetworkProfile:
             if l.layer_id == layer_id:
                 return l
         raise KeyError(f"no layer with id {layer_id}")
-
-    def var_count(self, layer_id: int, var_type: FFType) -> int:
-        if layer_id == CONTROL_LAYER:
-            return self.control_var_count.get(var_type, 0)
-        return self.layer(layer_id).var_count.get(var_type, 0)
 
 
 def derive_profile(
@@ -354,37 +348,3 @@ def profile_to_text(profile: NetworkProfile) -> str:
         lines.append(f"{p}.utilization = {l.utilization!r}")
         lines.append(f"{p}.net_index = {l.net_index}")
     return "\n".join(lines) + "\n"
-
-
-_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(.+)$")
-
-
-def profile_from_text(text: str) -> NetworkProfile:
-    kv = parse_kv_text(text)
-    control: dict[FFType, int] = {}
-    per_layer: dict[int, dict[str, str]] = {}
-    for key, value in kv.items():
-        if key.startswith("control_var_count."):
-            control[FFType(key.split(".", 1)[1])] = int(value)
-            continue
-        m = _LAYER_KEY.match(key)
-        if m is None:
-            raise ValueError(f"unrecognized profile key: {key}")
-        per_layer.setdefault(int(m.group(1)), {})[m.group(2)] = value
-    layers = []
-    for layer_id in sorted(per_layer):
-        fields = per_layer[layer_id]
-        var_count = {}
-        for k, v in fields.items():
-            if k.startswith("var_count."):
-                var_count[FFType(k.split(".", 1)[1])] = int(v)
-        layers.append(
-            LayerStats(
-                layer_id=layer_id,
-                mac_count=int(fields["mac_count"]),
-                var_count=var_count,
-                utilization=float(fields.get("utilization", 1.0)),
-                net_index=int(fields.get("net_index", -1)),
-            )
-        )
-    return NetworkProfile(layers=layers, control_var_count=control)

@@ -125,16 +125,14 @@ def _fit_mass(config):
     return sum(config.ff_count.get(t, 0) * config.raw_fit.get(t, 0.0) for t in FFType)
 
 
-def fit_sdc_rates(evaluator, table, config, threshold, sa, crash_sites=None):
-    if crash_sites is None:
-        crash_sites = lambda s: s.var_type is FFType.CONTROL_GLOBAL
+def fit_sdc_rates(evaluator, table, config, threshold, sa):
     fit = 0.0
     sdc = 0.0
     for c in table.classes:
         for site in _sites(table, c):
             if sa - evaluator(site) > threshold:
                 fit += c.per_var_per_bit_prob
-                if not crash_sites(site):
+                if site.var_type is not FFType.CONTROL_GLOBAL:
                     sdc += c.per_var_per_bit_prob
     return fit * _fit_mass(config), sdc * _fit_mass(config)
 

@@ -27,8 +27,12 @@ from resacc.cli import (
     main,
     read_csv,
 )
-from resacc.container import save_evalset, save_network
-from resacc.profile import CONTROL_TYPES, config_to_text
+from resacc.container import load_evalset, load_network, save_evalset, save_network
+from resacc.estimator import uniform_site_mean
+from resacc.microdnn import EvalSet, FaultSemantics, forward
+from resacc.oracle import live_evaluator
+from resacc.probtransfer import build_table
+from resacc.profile import CONTROL_TYPES, DATAPATH_TYPES, config_to_text, derive_profile
 from resacc.formats import NumericFormat
 from resacc.toynets import make_config, make_dense_toy, make_evalset, make_pool_toy
 
@@ -263,6 +267,25 @@ def test_compare_rerun_is_byte_identical(cli_inputs, tmp_path):
     assert _tree_bytes(a) == _tree_bytes(b)
 
 
+@pytest.mark.parametrize("strategy,seed,extra", [
+    ("is-b", 1, []),
+    ("mac", 2, ["--uf", "actual", "--utilization", "0=0.6"]),
+])
+def test_estimate_poc_is_compare_of_one_run(cli_inputs, tmp_path, strategy, seed, extra):
+    """`estimate --poc` is `compare` over one strategy and one seed: the
+    same trace and the same first summary row. Only the spec hash of the
+    comment line differs, since the two commands take other arguments."""
+    a, b = tmp_path / "estimate", tmp_path / "compare"
+    assert main(["estimate"] + _with_eval(cli_inputs, a) + extra
+                + ["--strategy", strategy, "--poc", "--seed", str(seed)]) == EXIT_OK
+    assert main(["compare"] + _with_eval(cli_inputs, b) + extra
+                + ["--strategies", strategy, "--seeds", str(seed)]) == EXIT_OK
+    trace = f"trace_{strategy}_seed{seed}.csv"
+    assert (a / trace).read_text().splitlines()[1:] == (b / trace).read_text().splitlines()[1:]
+    schema = "strategy,seed,ra,samples_to_poc"
+    assert read_csv(a / "summary.csv", schema)[0] == read_csv(b / "summary.csv", schema)[0]
+
+
 def test_oracle_outputs(cli_inputs, tmp_path):
     rc = main(["oracle"] + _with_eval(cli_inputs, tmp_path))
     assert rc == EXIT_OK
@@ -443,6 +466,67 @@ def test_study_outputs(cli_inputs, tmp_path, study, fname, schema, nrows):
               + ["--study", study])
     assert rc == EXIT_OK
     assert len(read_csv(tmp_path / fname, schema)) == nrows
+
+
+def test_study_methods_reads_ra_sw_from_the_batched_oracle(cli_inputs, tmp_path, monkeypatch):
+    """RA_SW is the uniform mean of the SW accuracies of every datapath
+    site, as the live SW evaluator gives them, but no site goes through it."""
+    net = load_network(cli_inputs["network"])
+    evalset, _ = load_evalset(cli_inputs["evalset"])
+    config = make_config()
+    profile = derive_profile(net, config)
+    live = live_evaluator(net, evalset, profile, config, FaultSemantics.SW)
+    want = uniform_site_mean(live, build_table(profile, config), include_control=False)
+
+    def no_live(*args, **kwargs):
+        raise AssertionError("study methods evaluated a site by live injection")
+
+    monkeypatch.setattr("resacc.cli.live_evaluator", no_live)
+    monkeypatch.setattr("resacc.oracle.live_evaluator", no_live)
+    assert main(["study"] + _with_eval(cli_inputs, tmp_path) + ["--study", "methods"]) == EXIT_OK
+    rows = dict(read_csv(tmp_path / "study_methods.csv", "method,ra"))
+    assert float(rows["RA_SW"]) == want
+
+
+def test_study_methods_with_zero_datapath_fit_rates_runs(cli_inputs, tmp_path):
+    """With every datapath raw FIT rate 0 only control sites can be hit,
+    yet RA_SW, a uniform mean over the datapath sites, is still defined."""
+    cfg = make_config().with_raw_fit({t: 0.0 for t in DATAPATH_TYPES})
+    (tmp_path / "cfg.txt").write_text(config_to_text(cfg))
+    inp = dict(cli_inputs, config=str(tmp_path / "cfg.txt"))
+    out = tmp_path / "out"
+    assert main(["study"] + _with_eval(inp, out) + ["--study", "methods"]) == EXIT_OK
+    assert len(read_csv(out / "study_methods.csv", "method,ra")) == 4
+
+
+@pytest.mark.parametrize("command,args", [
+    ("estimate", ["--strategy", "is-b", "--samples", "100"]),
+    ("estimate", ["--strategy", "is-b", "--poc"]),
+    ("compare", ["--seeds", "0"]),
+])
+def test_is_b_with_sa_at_most_a_bits_drop_is_validation_error(cli_inputs, tmp_path, capsys,
+                                                              monkeypatch, command, args):
+    """Labels that only 4 of 40 clean predictions match give SA = 0.1, below
+    the 0.15 drop is-b assumes for FP32 bit 30: its sites would never be
+    drawn, and is-b would read low without a word. The PDF is built, and
+    rejected, before any fault is evaluated."""
+    evalset, fmt = load_evalset(cli_inputs["evalset"])
+    n_classes = forward(load_network(cli_inputs["network"]), evalset.inputs[0]).size
+    labels = evalset.labels.copy()
+    labels[4:] = (labels[4:] + 1) % n_classes
+    save_evalset(EvalSet(evalset.inputs, labels), fmt, tmp_path / "low.raevs")
+    inp = dict(cli_inputs, evalset=str(tmp_path / "low.raevs"))
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a fault was evaluated before the PDF was checked")
+
+    for name in ("exhaustive_ra", "live_evaluator"):
+        monkeypatch.setattr(f"resacc.cli.{name}", no_evaluation)
+    out = tmp_path / "out"
+    assert main([command] + _with_eval(inp, out) + args) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "is-b: SA 0.1 is at most the assumed accuracy drop of bits [30]" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # --- configs that used to give silently wrong output ------------------------

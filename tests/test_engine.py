@@ -250,7 +250,7 @@ def test_pool_input_flips_match_reference_on_a_full_evalset():
     evalset = make_evalset(net, 40, seed=0)
     cache = ActivationCache(net, evalset)
     pool = next(l for l in profile.layers if isinstance(net.layers[l.net_index], MaxPool2D))
-    for v in range(profile.var_count(pool.layer_id, FFType.INPUT_ACTIVATION)):
+    for v in range(profile.layer(pool.layer_id).var_count[FFType.INPUT_ACTIVATION]):
         def fault(b):
             return make_fault(SoftwareFaultSite(pool.layer_id, FFType.INPUT_ACTIVATION, v, b),
                               config)
@@ -861,7 +861,7 @@ def test_pool_sees_no_faulty_row_and_fc_only_changed_ones(monkeypatch):
     for layer_id, var_type in [(0, FFType.WEIGHT), (0, FFType.INPUT_ACTIVATION),
                                (0, FFType.OUTPUT_ACTIVATION), (1, FFType.INPUT_ACTIVATION),
                                (1, FFType.OUTPUT_ACTIVATION)]:
-        vs = range(0, profile.var_count(layer_id, var_type), 3)
+        vs = range(0, profile.layer(layer_id).var_count[var_type], 3)
         for rows in seen.values():
             rows.clear()
         faulty_predictions(net, make_fault(SoftwareFaultSite(layer_id, var_type, 0, 0), config),

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,22 @@ def test_importance_bp_names_a_bit_width_no_format_has(dense_ctx):
     table = dataclasses.replace(dense_ctx.table, bit_width=12)
     with pytest.raises(ValueError, match="12 bits"):
         build_pdf(SamplingStrategy.IMPORTANCE_BP, table, dense_ctx.profile, sa=1.0)
+
+
+@pytest.mark.parametrize("sa,bits", [(0.1, [30]), (0.08, [26, 27, 28, 29, 30])])
+def test_importance_bp_rejects_sa_at_most_a_bits_drop(dense_ctx, sa, bits):
+    """is-b weights a unit by SA less its bit's assumed drop, floored at 0.
+    At SA <= that drop the bit's units would never be drawn, though their
+    p(j) * A(j) need not be 0, so the estimate would read low."""
+    message = f"is-b: SA {sa} is at most the assumed accuracy drop of bits {bits}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_pdf(SamplingStrategy.IMPORTANCE_BP, dense_ctx.table, dense_ctx.profile, sa=sa)
+
+
+def test_importance_bp_accepts_sa_above_every_drop(dense_ctx):
+    pdf = build_pdf(SamplingStrategy.IMPORTANCE_BP, dense_ctx.table, dense_ctx.profile,
+                    sa=0.150001)
+    assert np.all(pdf.weights[pdf.site_probs > 0] > 0)
 
 
 def test_importance_bp_downweights_high_impact_bits(dense_ctx):
@@ -330,7 +347,7 @@ def test_fit_rate_includes_crashes_sdc_excludes(dense_ctx, dense_oracle):
     # contribution alone accounts for the FIT/SDC gap
     fit_hi, sdc_hi = fit_sdc_rates(arch.evaluator, dense_ctx.table,
                                    dense_ctx.config, 0.999, arch.sa)
-    cg = dense_ctx.table.class_for(CONTROL_LAYER, FFType.CONTROL_GLOBAL)
+    cg, = [c for c in dense_ctx.table.classes if c.var_type is FFType.CONTROL_GLOBAL]
     crash_mass = cg.total_prob(dense_ctx.table.bit_width)
     fit_mass = sum(dense_ctx.config.ff_count.get(t, 0)
                    * dense_ctx.config.raw_fit.get(t, 0.0) for t in FFType)

@@ -164,15 +164,6 @@ def test_fit_sdc_rates_match_site_loop(case, threshold):
     assert _bits(got) == _bits(want)
 
 
-def test_fit_sdc_rates_custom_crash_predicate_matches_site_loop(case):
-    ctx, arch = case
-    odd = lambda s: s.var_index % 2 == 1 or s.var_type is FFType.CONTROL_GLOBAL
-    got = fit_sdc_rates(arch.evaluator, ctx.table, ctx.config, 0.1, arch.sa, odd)
-    want = ref.fit_sdc_rates(arch.evaluator, ctx.table, ctx.config, 0.1, arch.sa, odd)
-    assert _bits(got) == _bits(want)
-    assert got[0] > got[1]
-
-
 @pytest.mark.parametrize("uf", [None, _uf], ids=["uf1", "uf"])
 def test_hardening_study_matches_per_config_loops(case, uf):
     ctx, arch = case

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from resacc.formats import (
     NumericFormat,
-    bit_field,
     default_bp_drop,
     flip_bit,
     flip_bits,
@@ -92,27 +91,6 @@ def test_flip_bits_equals_one_flip_per_bit(fmt):
 def test_bit_pos_out_of_range():
     with pytest.raises(ValueError):
         flip_bit(np.float32(1.0), 32, NumericFormat.FP32)
-    with pytest.raises(ValueError):
-        bit_field(NumericFormat.INT8, 8)
-
-
-class TestBitField:
-    def test_fp32_fields(self):
-        assert bit_field(NumericFormat.FP32, 31) == "sign"
-        assert bit_field(NumericFormat.FP32, 30) == "exponent"
-        assert bit_field(NumericFormat.FP32, 23) == "exponent"
-        assert bit_field(NumericFormat.FP32, 22) == "fraction"
-        assert bit_field(NumericFormat.FP32, 0) == "fraction"
-
-    def test_fp16_fields(self):
-        assert bit_field(NumericFormat.FP16, 15) == "sign"
-        assert bit_field(NumericFormat.FP16, 14) == "exponent"
-        assert bit_field(NumericFormat.FP16, 10) == "exponent"
-        assert bit_field(NumericFormat.FP16, 9) == "fraction"
-
-    def test_int8_fields(self):
-        assert bit_field(NumericFormat.INT8, 7) == "sign"
-        assert bit_field(NumericFormat.INT8, 0) == "fraction"
 
 
 class TestBpDrop:

@@ -27,11 +27,10 @@ from resacc.microdnn import (
     clean_activations,
     faulty_predictions,
     forward,
-    infer,
     make_fault,
 )
 from resacc.profile import FFType, SoftwareFaultSite, CONTROL_LAYER, derive_profile
-from resacc import toynets
+from resacc import microdnn, toynets
 from resacc.toynets import (
     make_config,
     make_conv_toy,
@@ -40,6 +39,11 @@ from resacc.toynets import (
     make_pool_toy,
     make_skewed_toy,
 )
+
+
+def infer(net, x) -> int:
+    """Predicted class of one clean input."""
+    return int(microdnn._predict(microdnn._forward(net, np.asarray(x)[None]))[0])
 
 
 def predict(net, x, fault, prof, bits=None):
@@ -125,7 +129,7 @@ class TestFaultSemantics:
     def test_reuse_bounded_total_equals_full(self, dense):
         net, config, prof = dense
         x = np.linspace(-1, 1, 12).astype(np.float32)
-        uses = prof.layer(0).mac_count // prof.var_count(0, FFType.WEIGHT)
+        uses = prof.layer(0).mac_count // prof.layer(0).var_count[FFType.WEIGHT]
         for var in (0, 17, 95):
             site = SoftwareFaultSite(0, FFType.WEIGHT, var, 0)
             full = FaultSpec(site, FaultMode.FULL_CORRUPTION, 0)
@@ -172,7 +176,7 @@ class TestFaultSemantics:
         x = np.linspace(-1, 1, 12).astype(np.float32)
         clean = infer(net, x)
         found = False
-        for var in range(prof.var_count(0, FFType.WEIGHT)):
+        for var in range(prof.layer(0).var_count[FFType.WEIGHT]):
             site = SoftwareFaultSite(0, FFType.WEIGHT, var, 0)
             if predict(net, x, make_fault(site, config), prof)[0] == clean:
                 found = True
@@ -222,7 +226,7 @@ class TestAccuracy:
         net, config, prof = dense
         evalset = make_evalset(net, 30, seed=2)
         cache = ActivationCache(net, evalset)
-        n = prof.var_count(0, FFType.WEIGHT)
+        n = prof.layer(0).var_count[FFType.WEIGHT]
         lo = hi = 0.0
         for var in range(0, n, 4):
             hi += accuracy(net, evalset, make_fault(

@@ -12,14 +12,15 @@ from resacc.oracle import (
     ScaleGuardExceeded,
     SiteArchive,
     analytical_class_probs,
+    evaluate_classes,
     exhaustive_ra,
     grid_simulate,
     live_evaluator,
-    measured_uf,
 )
 from resacc.probtransfer import ProbClass, SiteProbabilityTable, build_table, ra_expected
 from resacc.profile import (
     CONTROL_LAYER,
+    DATAPATH_TYPES,
     AcceleratorConfig,
     FFType,
     LayerStats,
@@ -30,6 +31,23 @@ from resacc.profile import (
 from resacc.toynets import make_config, make_dense_toy, make_evalset, make_pool_toy
 
 from conftest import build_context
+
+
+def measured_uf(grid: GridModel) -> dict[int, float]:
+    """Per-layer fraction of datapath cells holding live data."""
+    out = {}
+    dp_rows = sum(grid.rows[t] for t in DATAPATH_TYPES)
+    for layer in grid.profile.layers:
+        total = dp_rows * grid.cols[layer.layer_id]
+        if total == 0:
+            out[layer.layer_id] = 0.0
+            continue
+        occupied = 0.0
+        for t in DATAPATH_TYPES:
+            if layer.var_count.get(t, 0) >= 1:
+                occupied += grid.rows[t] * grid.cols[layer.layer_id] * layer.utilization
+        out[layer.layer_id] = occupied / total
+    return out
 
 
 # --- exhaustive oracle ------------------------------------------------------
@@ -141,6 +159,36 @@ def test_live_evaluator_matches_archive(dense_ctx, dense_oracle):
         a = ev(s)
         assert a == arch.evaluator(s)
         assert ev(s) == a  # a second evaluation agrees
+
+
+def test_sw_oracle_with_control_classes_raises_before_evaluating(dense_ctx, monkeypatch):
+    """SW semantics do not model control sites: every class's fault is
+    resolved before any inference, so a table with control classes fails
+    at once, not after every datapath class ran."""
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("a fault was evaluated before the semantics were checked")
+
+    monkeypatch.setattr("resacc.oracle.ActivationCache", no_evaluation)
+    monkeypatch.setattr("resacc.oracle.prediction_batches", no_evaluation)
+    with pytest.raises(ValueError, match="SW semantics do not model control fault sites"):
+        exhaustive_ra(dense_ctx.profile, dense_ctx.config, dense_ctx.net, dense_ctx.evalset,
+                      FaultSemantics.SW)
+
+
+def test_sw_archive_of_the_datapath_classes_matches_live_injection(dense_ctx):
+    table = dense_ctx.table
+    datapath = [c for c in table.classes if c.layer_id != CONTROL_LAYER]
+    arch = evaluate_classes(dense_ctx.net, dense_ctx.evalset, dense_ctx.profile,
+                            dense_ctx.config, datapath, table.bit_width, FaultSemantics.SW)
+    assert list(arch.entries) == [(c.layer_id, c.var_type) for c in datapath]
+    assert arch.sa == dense_ctx.sa
+    ev = live_evaluator(dense_ctx.net, dense_ctx.evalset, dense_ctx.profile, dense_ctx.config,
+                        FaultSemantics.SW)
+    rng = np.random.default_rng(1)
+    for c in datapath:
+        for v, b in zip(rng.integers(c.var_count, size=4), rng.integers(table.bit_width, size=4)):
+            site = SoftwareFaultSite(c.layer_id, c.var_type, int(v), int(b))
+            assert arch.evaluator(site) == ev(site), site
 
 
 def test_live_evaluator_sw_rejects_crash_sites(dense_ctx):

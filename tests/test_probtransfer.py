@@ -58,8 +58,14 @@ def layer_prob(profile: NetworkProfile, layer_id: int) -> float:
     return profile.layer(layer_id).mac_count / profile.total_macs
 
 
+def var_count(profile: NetworkProfile, layer_id: int, t: FFType) -> int:
+    if layer_id == CONTROL_LAYER:
+        return profile.control_var_count.get(t, 0)
+    return profile.layer(layer_id).var_count.get(t, 0)
+
+
 def var_prob(profile: NetworkProfile, layer_id: int, t: FFType) -> float:
-    n = profile.var_count(layer_id, t)
+    n = var_count(profile, layer_id, t)
     if n < 1:
         raise ValueError(f"layer {layer_id} has no variables of type {t.value}")
     return 1.0 / n
@@ -82,7 +88,7 @@ def site_prob(
     cancels algebraically, so any positive value gives the same result."""
     if not 0 <= site.bit_pos < config.bit_width:
         raise ValueError(f"bit_pos {site.bit_pos} out of range")
-    n_vars = profile.var_count(site.layer_id, site.var_type)
+    n_vars = var_count(profile, site.layer_id, site.var_type)
     if not 0 <= site.var_index < n_vars:
         raise ValueError(
             f"var_index {site.var_index} out of range for "
@@ -198,8 +204,8 @@ class TestSiteProb:
         p_ratio = site_prob(prof, config, first) / site_prob(prof, config, last)
         mac_ratio = prof.layers[0].mac_count / prof.layers[-1].mac_count
         var_ratio = (
-            prof.var_count(last_lid, FFType.WEIGHT)
-            / prof.var_count(0, FFType.WEIGHT)
+            prof.layer(last_lid).var_count[FFType.WEIGHT]
+            / prof.layer(0).var_count[FFType.WEIGHT]
         )
         assert p_ratio == pytest.approx(mac_ratio * var_ratio, rel=1e-12)
 

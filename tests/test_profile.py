@@ -1,6 +1,7 @@
 """Network profiling: MAC/variable statistics, validation, serialization."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,15 +14,52 @@ from resacc.profile import (
     CONTROL_LAYER,
     AcceleratorConfig,
     FFType,
+    LayerStats,
+    NetworkProfile,
     SoftwareFaultSite,
     config_from_text,
     config_to_text,
     derive_profile,
-    profile_from_text,
+    parse_kv_text,
     profile_to_text,
     validate_profile,
 )
 from resacc.toynets import make_config, make_conv_toy, make_dense_toy, make_pool_toy
+
+
+_LAYER_KEY = re.compile(r"^layer\.(\d+)\.(.+)$")
+
+
+def profile_from_text(text: str) -> NetworkProfile:
+    """The profile `profile_to_text` wrote."""
+    kv = parse_kv_text(text)
+    control: dict[FFType, int] = {}
+    per_layer: dict[int, dict[str, str]] = {}
+    for key, value in kv.items():
+        if key.startswith("control_var_count."):
+            control[FFType(key.split(".", 1)[1])] = int(value)
+            continue
+        m = _LAYER_KEY.match(key)
+        if m is None:
+            raise ValueError(f"unrecognized profile key: {key}")
+        per_layer.setdefault(int(m.group(1)), {})[m.group(2)] = value
+    layers = []
+    for layer_id in sorted(per_layer):
+        fields = per_layer[layer_id]
+        var_count = {}
+        for k, v in fields.items():
+            if k.startswith("var_count."):
+                var_count[FFType(k.split(".", 1)[1])] = int(v)
+        layers.append(
+            LayerStats(
+                layer_id=layer_id,
+                mac_count=int(fields["mac_count"]),
+                var_count=var_count,
+                utilization=float(fields.get("utilization", 1.0)),
+                net_index=int(fields.get("net_index", -1)),
+            )
+        )
+    return NetworkProfile(layers=layers, control_var_count=control)
 
 
 def _fc_net(fan_in, fan_out, fmt=NumericFormat.FP32):
