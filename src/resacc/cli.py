@@ -403,10 +403,10 @@ def cmd_gridsim(args, out: RunOutputs) -> int:
 def cmd_study(args, out: RunOutputs) -> int:
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     spec_hash = _hash_for(args, need_evalset=True)
-    sa = accuracy(net, evalset, None, profile)
     uf = _uf_map(args, profile)
     table = build_table(profile, config)
     true_res, archive = exhaustive_ra(profile, config, net, evalset, FaultSemantics.TRUE)
+    sa = archive.sa
     if args.study == "methods":
         datapath = [c for c in table.classes if c.layer_id != CONTROL_LAYER]
         sw = evaluate_classes(
