@@ -304,6 +304,9 @@ def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     oracle run. Writes each trace and ``summary.csv``, with each strategy's
     median row if ``medians``; returns the exhaustive RA (None without
     --poc) and the estimates."""
+    for name, count in (("samples", args.samples), ("max_samples", args.max_samples)):
+        if count is not None and count < 1:
+            raise ValidationError(f"{name} = {count} must be at least 1")
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
     semantics = _semantics(args, table)
@@ -314,8 +317,6 @@ def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     truth, budget = None, {"samples": args.samples}
     if args.poc:
         criteria = PoCCriteria(mean_tol=args.threshold)
-        if args.max_samples < 1:
-            raise ValidationError(f"max_samples = {args.max_samples} must be at least 1")
         result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf)
         truth, evaluator = result.ra, archive.evaluator
         budget = {"criteria": criteria, "ground_truth": truth, "max_samples": args.max_samples}
@@ -342,6 +343,8 @@ def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
 def cmd_estimate(args, out: RunOutputs) -> int:
     if args.samples is None and not args.poc:
         raise UsageError("need --samples K or --poc")
+    if args.samples is not None and args.poc:
+        raise UsageError("--samples budgets a run without --poc; --max-samples caps a --poc run")
     _, (est,) = _estimate(args, out, [SamplingStrategy(args.strategy)], [args.seed])
     print(f"strategy={args.strategy} seed={args.seed} ra={est.mean!r} "
           f"samples={est.samples_drawn} poc={est.poc_index}")

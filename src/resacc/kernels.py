@@ -33,15 +33,18 @@ def _im2col(x, kh, kw, stride, pad, oh, ow):
     """(B, C*kh*kw, oh*ow) patches, rows in (channel, row, column) order."""
     # A zeroed copy and a strided view, as np.pad and sliding_window_view
     # cost several times as much on the small batches the fault engine and
-    # its one-input reference pass.
+    # its one-input reference pass; the view is made by the ndarray
+    # constructor, which checks it against the buffer in a fraction of the
+    # time as_strided takes.
     if pad:
         xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad, x.shape[3] + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:-pad, pad:-pad] = x
         x = xp
+    x = np.ascontiguousarray(x)
     s0, s1, s2, s3 = x.strides
-    win = np.lib.stride_tricks.as_strided(  # (B, C, kh, kw, oh, ow)
-        x, x.shape[:2] + (kh, kw, oh, ow), (s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False)
+    win = np.ndarray(  # (B, C, kh, kw, oh, ow)
+        x.shape[:2] + (kh, kw, oh, ow), x.dtype, x, 0,
+        (s0, s1, s2, s3, s2 * stride, s3 * stride))
     # Contiguous, as BLAS needs it: numpy sums a strided operand in its own order.
     return np.ascontiguousarray(win).reshape(len(x), -1, oh * ow)
 
@@ -158,17 +161,22 @@ def dot_sequential(terms, hit_k, faulty):
     reads the flipped value. ``faulty`` (E, F, n): the product at that
     position under each of F flips. Returns (E, F, n).
 
-    The terms before the first flipped one are the same under every flip and
-    are summed once into a head; the rest of each sum adds, row by row, a
+    Under one flip, the flipped products overwrite their terms and the terms
+    are summed as they are; ``terms`` is scratch. Under several, the terms
+    before the first flipped one are the same under every flip and are
+    summed once into a head; the rest of each sum adds, row by row, a
     (1 + K - k0, E, F, n) tail: the head, then the terms from there on with
-    the flipped product in its place (``_sum_rows``). Both add term by term
-    in order, as the element kernels do (``np.sum`` adds pairwise and
-    differs in the last bits). A sum started from +0.0 is never -0.0, so
-    adding 0.0 for a skipped term leaves it unchanged; adding the head to
+    the flipped product in its place. Both add term by term in order
+    (``_sum_rows``), as the element kernels do (``np.sum`` adds pairwise
+    and differs in the last bits). A sum started from +0.0 is never -0.0,
+    so adding 0.0 for a skipped term leaves it unchanged; adding a sum to
     0.0 gives it the sign of zero a sum from 0.0 has, since ``_sum_rows``
     starts from the first term.
     """
     n_terms, n_elems, n = terms.shape
+    if faulty.shape[1] == 1:
+        terms[hit_k, np.arange(n_elems)] = faulty[:, 0]
+        return (0.0 + _sum_rows(terms))[:, None]
     k0 = int(hit_k.min())
     tail = np.empty((1 + n_terms - k0, n_elems, faulty.shape[1], n))
     tail[0] = (0.0 + _sum_rows(terms[:k0]))[:, None, :] if k0 else 0.0

@@ -48,6 +48,18 @@ chunks of output elements whose (elements, bits, inputs, fan-in + 1)
 float64 sums fit in BATCH_BYTES, and a frontier max-pool in chunks of
 entries whose window patches fit in it. No chunking changes a result.
 
+A live call (:func:`accuracy` of one site: one variable, one bit, every
+input) takes this path once, as a chunk of one variable and one bit. Its
+live rows are then the inputs whose frontier values differ, found by one
+OR over the entries and built from their clean inputs alone, and its one
+flipped term is summed in place of the clean one (``kernels.dot_sequential``).
+On the benchmark's LeNet-5 (20 inputs, one core of a shared 2-vCPU host,
+numpy 2.4.6), a call costs about 0.3 ms. About two fifths of that is the
+per-row arithmetic of the dense layers (conv2's and the FC layers' BLAS
+products, softmax); the rest is per-call numpy work whose cost does not
+depend on the number of inputs, so a pass over 1 input costs about half of
+one over 20.
+
 Bit-exactness: a recomputed element is summed sequentially in float64 from
 0.0 over its fan-in, in the order of ``kernels.conv2d_elem`` /
 ``kernels.fc_elem``; a padded slot reads a stored 0.0, which adds nothing
@@ -71,6 +83,7 @@ mutated.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -260,7 +273,10 @@ def _cast(a: np.ndarray, fmt: NumericFormat) -> np.ndarray:
     every caller of :func:`_apply_layer`, run under
     ``np.errstate(all="ignore")``."""
     if fmt is NumericFormat.INT8:
-        return np.clip(np.rint(np.nan_to_num(a)), -128, 127).astype(np.int8, order="C")
+        # Clipping takes +/-Inf to the bounds and leaves NaN, which becomes 0.
+        r = np.clip(np.rint(a), -128, 127)
+        r[np.isnan(r)] = 0
+        return r.astype(np.int8, order="C")
     return a.astype(fmt.dtype, order="C", copy=False)
 
 
@@ -270,12 +286,12 @@ def _quiet(a: np.ndarray, fmt: NumericFormat, out: np.ndarray | None = None) -> 
     float32/float64 fmax ignores those or not by code path, so by what else
     is in the batch, and FP16 fmax always ignores them. A maximum is one of
     its inputs, so float64 holds it exactly; FP16 goes through float64
-    because numpy's FP16 arithmetic is software."""
-    with np.errstate(invalid="ignore"):
-        if fmt is NumericFormat.FP16:
-            return np.multiply(a, 1.0, dtype=np.float64, out=out)
-        if fmt is NumericFormat.FP32:
-            return np.multiply(a, np.float32(1.0), out=out)
+    because numpy's FP16 arithmetic is software. Quieting raises numpy's
+    invalid-value warning, which the caller silences."""
+    if fmt is NumericFormat.FP16:
+        return np.multiply(a, 1.0, dtype=np.float64, out=out)
+    if fmt is NumericFormat.FP32:
+        return np.multiply(a, np.float32(1.0), out=out)
     return a
 
 
@@ -329,7 +345,7 @@ def _predict(logits: np.ndarray) -> np.ndarray:
     the lowest index."""
     z = logits.reshape(len(logits), -1).astype(np.float64)
     z[np.isnan(z)] = -np.inf
-    return np.argmax(z, axis=1)
+    return z.argmax(axis=1)
 
 
 def _layer_outputs(net: MicroNetwork, inputs: np.ndarray, weights64=None):
@@ -399,11 +415,9 @@ def _check_vars(vs: np.ndarray, count: int, var_type: FFType) -> None:
         raise ValueError(f"var_index out of range for {var_type.value}: [0, {count})")
 
 
-def _spread(count, n_vars: int) -> tuple[np.ndarray, np.ndarray]:
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each element's variable and its rank among that variable's elements,
-    in variable order, for ``count`` elements per variable (an array, or one
-    count for all)."""
-    counts = np.zeros(n_vars, dtype=np.int64) + count
+    in variable order, for ``counts[v]`` elements of variable v."""
     return np.nonzero(np.arange(counts.max(initial=0)) < counts[:, None])
 
 
@@ -450,10 +464,11 @@ def _faulty_outputs(
             raise ValueError("weight fault on a layer without weights")
         _check_vars(vs, w64.size, var_type)
         wf = flip_bits(layer.weight.reshape(-1)[vs], bits, fmt).astype(np.float64)  # (F, V)
-        # Weight (o, k) is read by output channel o at slot k of every window.
+        # Weight (o, k) is read by output channel o at slot k of every window,
+        # so every variable has the same number of elements.
         o, k = np.divmod(vs, rf.reads.shape[1])
         start, count = _window(vs, len(rf.reads), fault)
-        owner, rank = _spread(count, len(vs))
+        owner, rank = np.divmod(np.arange(len(vs) * count), count)
         o, u, hit_k = o[owner], start[owner] + rank, k[owner]
     else:
         assert var_type is FFType.INPUT_ACTIVATION
@@ -468,7 +483,7 @@ def _faulty_outputs(
         # channel (a max-pool window has one): window-major, channel-minor.
         n_oc = 1 if w64 is None else len(w64)
         start, count = _window(vs, rf.count[vs] * n_oc, fault)
-        owner, rank = _spread(count, len(vs))
+        owner, rank = _spread(count)
         q, o = np.divmod(start[owner] + rank, n_oc)
         u, hit_k = rf.cover[vs[owner], q], rf.slot[vs[owner], q]
     n_win, n_slots = rf.reads.shape
@@ -490,7 +505,7 @@ def _faulty_outputs(
             # tests/test_engine.py pins four A(j) that quieting would
             # move. (E, F, n, k*k)
             patches = np.empty((len(e), n_bits, n, n_slots))
-            patches[:] = xt[rf.reads[u[sel]]].swapaxes(1, 2)[:, None]
+            patches[:] = xt.take(rf.reads[u[sel]], axis=0).swapaxes(1, 2)[:, None]
             patches[e, :, :, hit_k[sel]] = xf64[owner[sel]]
             return np.fmax.reduce(patches, axis=3)
     else:
@@ -499,7 +514,7 @@ def _faulty_outputs(
 
         def recompute(sel):
             reads, wk = rf.reads[u[sel]].T, w[o[sel]].T  # (K, E)
-            xs = xt[reads]  # (K, E, n)
+            xs = xt.take(reads, axis=0)  # (K, E, n)
             at = hit_k[sel], np.arange(reads.shape[1])
             if var_type is FFType.WEIGHT:
                 # A flipped weight may be Inf or NaN: where its slot reads
@@ -510,7 +525,8 @@ def _faulty_outputs(
                 faulty = w_hit[:, :, None] * xs[at][:, None, :]
             else:
                 faulty = xf64[owner[sel]] * wk[at][:, None, None]
-            return kernels.dot_sequential(xs * wk[:, :, None], hit_k[sel], faulty)
+            xs *= wk[:, :, None]  # the clean products
+            return kernels.dot_sequential(xs, hit_k[sel], faulty)
     # Elements go in chunks whose (E, F, n, fan-in + 1) sums, or (E, F, n,
     # k*k) pool patches, stay within BATCH_BYTES; each element is computed
     # alone, so chunking changes no result.
@@ -570,7 +586,7 @@ def prediction_batches(
         # activation within BATCH_BYTES; a variable too large for that goes in
         # chunks of inputs. Every kernel treats batch items alone, so chunking
         # changes no result.
-        rows = max(1, BATCH_BYTES // (8 * max(map(math.prod, net._shapes[k:]))))
+        rows = max(1, BATCH_BYTES // (8 * cache.widest[k]))
         var_step = max(1, rows // max(1, len(bits) * n))
         in_step = max(1, rows // max(1, len(bits)))
         for i in range(0, len(positions), var_step):
@@ -582,7 +598,7 @@ def prediction_batches(
                     front = _faulty_outputs(net, cache, k, cols, var_type, vs[pos], bits, fault)
                     preds.append(_frontier_predictions(net, cache, k + 1, len(pos), *front,
                                                        cols))
-            yield pos, np.concatenate(preds, axis=2)
+            yield pos, preds[0] if len(preds) == 1 else np.concatenate(preds, axis=2)
 
 
 def _pool_frontier(
@@ -604,9 +620,15 @@ def _pool_frontier(
     takes the changed values that no window of the chunk reads.
     """
     n_win, k2 = rf.reads.shape
-    cover = rf.cover[pos]  # (E, Q)
-    key, entry = np.unique(owner[:, None] * n_win + cover, return_inverse=True)
-    entry = entry.reshape(cover.shape)  # the output entry of each covering window
+    covering = owner[:, None] * n_win + rf.cover[pos]  # (E, Q)
+    # The distinct keys, as np.unique finds them, for a fraction of its cost
+    # on a few entries.
+    key = np.sort(covering, axis=None)
+    distinct = np.empty(len(key), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    key = key[distinct]
+    entry = np.searchsorted(key, covering)  # the output entry of each covering window
     new_owner, new_pos = np.divmod(key, n_win)
     member = rf.slot[pos]
     changed = vals[:, None]  # (E, 1, F, n)
@@ -621,7 +643,7 @@ def _pool_frontier(
             m = np.where((entry >= a) & (entry < b), member, k2)
             s = np.clip(entry - a, 0, b - a - 1)
         patches = np.empty((k2 + 1, b - a) + shape, dtype=clean.dtype)
-        patches[:k2] = clean[rf.reads[new_pos[a:b]].T][:, :, None]
+        patches[:k2] = clean.take(rf.reads[new_pos[a:b]].T, axis=0)[:, :, None]
         patches[m, s] = changed
         _quiet(patches, fmt, out=patches)
         # kernels.maxpool2d starts from a copy of member 0 and fmaxes member 0 into it
@@ -663,28 +685,41 @@ def _frontier_predictions(
     clean = x.reshape(len(x), -1)
     b = fmt.bits_dtype
     _, n_bits, n = vals.shape
-    hit = np.zeros((n_vars, n_bits, n), dtype=bool)
-    np.logical_or.at(hit, owner, vals.view(b) != clean.T[pos].view(b)[:, None])
-    live = np.flatnonzero(hit)
-    preds = np.empty(hit.shape, dtype=np.intp)
+    differ = vals.view(b) != clean.T[pos].view(b)[:, None]  # (E, F, n)
+    if n_vars == 1:
+        live = np.logical_or.reduce(differ, axis=0).reshape(-1).nonzero()[0]
+    else:
+        hit = np.zeros((n_vars, n_bits, n), dtype=bool)
+        np.logical_or.at(hit, owner, differ)
+        live = hit.reshape(-1).nonzero()[0]
+    preds = np.empty((n_vars, n_bits, n), dtype=np.intp)
     preds[...] = cache.preds[cols]
     if not len(live):
         return preds
-    # Scattering one (F, n) block per entry into a copy of every row and
-    # then taking the live ones costs a fraction of a scatter per live row.
-    a = np.empty((n_vars, n_bits) + clean.shape, dtype=clean.dtype)
-    a[...] = clean
-    a[owner, :, :, pos] = vals
-    a = a.reshape((-1,) + x.shape[1:]).take(live, axis=0)
-    inputs = cols.start + live % n  # the cached input of each live row
+    inputs = live % n  # the input of each live row, within cols
+    if n_vars == 1:
+        # Every entry is in every row: each live row is its clean input with
+        # the entries' values for its bit and input scattered in.
+        a = clean.take(inputs, axis=0)
+        a[:, pos] = vals.reshape(len(pos), -1)[:, live].T
+    else:
+        # Scattering one (F, n) block per entry into a copy of every row and
+        # then taking the live ones costs a fraction of a scatter per live row.
+        a = np.empty((n_vars, n_bits) + clean.shape, dtype=clean.dtype)
+        a[...] = clean
+        a[owner, :, :, pos] = vals
+        a = a.reshape(-1, clean.shape[1]).take(live, axis=0)
+    a = a.reshape((-1,) + x.shape[1:])
+    inputs += cols.start
     for j in range(i, len(net.layers)):
         layer = net.layers[j]
         if j > i and isinstance(layer, (Conv2D, FC)):
             differ = a.view(b) != cache.acts[j].take(inputs, axis=0).view(b)
-            keep = np.flatnonzero(np.logical_or.reduce(differ.reshape(len(a), -1), axis=1))
-            a, live, inputs = a.take(keep, axis=0), live[keep], inputs[keep]
-            if not len(live):
+            keep = np.logical_or.reduce(differ.reshape(len(a), -1), axis=1).nonzero()[0]
+            if not len(keep):
                 return preds
+            if len(keep) < len(a):
+                a, live, inputs = a.take(keep, axis=0), live[keep], inputs[keep]
         a = _apply_layer(layer, a, fmt, cache.weights64[j])
     preds.put(live, _predict(a))
     return preds
@@ -763,36 +798,48 @@ def _receptive_field(layer: Layer, x: np.ndarray, fmt: NumericFormat) -> _Recept
         reads = np.arange(size)[None]
     else:
         c, h, w = x.shape[1:]
-        # A conv window reads every channel, a max-pool window one.
         if isinstance(layer, Conv2D):
             (kh, kw), pad = layer.weight.shape[2:], layer.pad
-            ch, ky, kz = np.indices((c, kh, kw)).reshape(3, 1, -1)
-            y, z = np.indices(_conv_out_hw(h, w, kh, kw, layer.stride, pad)).reshape(2, -1, 1)
         else:
             (kh, kw), pad = (layer.kernel,) * 2, 0
-            ky, kz = np.indices((kh, kw)).reshape(2, 1, -1)
-            oh, ow = _conv_out_hw(h, w, kh, kw, layer.stride, pad)
-            ch, y, z = np.indices((c, oh, ow)).reshape(3, -1, 1)
-        sy, sz = y * layer.stride - pad + ky, z * layer.stride - pad + kz
-        inside = (sy >= 0) & (sy < h) & (sz >= 0) & (sz < w)
-        reads = np.where(inside, (ch * h + sy) * w + sz, size)
-    k = reads.shape[1]
-    count = np.bincount(reads.reshape(-1), minlength=size + 1)[:size]
-    # By position, then window; padding sorts last and is dropped.
-    at = np.argsort(reads, axis=None, kind="stable")[: count.sum()]
-    position = reads.reshape(-1)[at]
-    cover = np.zeros((size, max(1, int(count.max()))), dtype=np.int64)
-    slot = np.full(cover.shape, k, dtype=np.int64)
-    rank = np.arange(len(at)) - (np.cumsum(count) - count)[position]
-    cover[position, rank], slot[position, rank] = np.divmod(at, k)
-    cover = np.where(slot < k, cover, cover[:, :1])
+        oh, ow = _conv_out_hw(h, w, kh, kw, layer.stride, pad)
+        # In the padded input, each slot is a fixed offset from its window's
+        # origin; a table takes padded positions to positions, and padding
+        # to P.
+        hp, wp = h + 2 * pad, w + 2 * pad
+        table = np.full((c, hp, wp), size)
+        table[:, pad : pad + h, pad : pad + w] = np.arange(size).reshape(c, h, w)
+        origin = (np.arange(oh)[:, None] * wp + np.arange(ow)).reshape(-1) * layer.stride
+        offset = (np.arange(kh)[:, None] * wp + np.arange(kw)).reshape(-1)
+        channel = np.arange(c)[:, None] * (hp * wp)
+        # A conv window reads every channel, a max-pool window one.
+        if isinstance(layer, Conv2D):
+            offset = (channel + offset).reshape(-1)
+        else:
+            origin = (channel + origin).reshape(-1)
+        reads = table.reshape(-1)[origin[:, None] + offset]
+    k, flat = reads.shape[1], reads.reshape(-1)
+    count = np.bincount(flat, minlength=size + 1)[:size]
+    # By position, then window; padding sorts last and is dropped. A stable
+    # sort of the narrowest unsigned type that holds the positions is a
+    # radix sort, up to 16 bits.
+    at = np.argsort(flat.astype(np.min_scalar_type(size)), kind="stable")[: count.sum()]
+    window = at // k
+    first, read = np.zeros(size, dtype=np.int32), count > 0
+    first[read] = window[(np.cumsum(count) - count)[read]]
+    # int32 halves the tables; an input of 2**31 positions could not be cached.
+    cover = np.repeat(first[:, None], max(1, int(count.max())), axis=1)
+    slot = np.full(cover.shape, k, dtype=np.int32)
+    # The cover slots in use, in row-major order, are those of ``at``.
+    used = np.arange(cover.shape[1]) < count[:, None]
+    cover[used] = window
+    slot[used] = at - window * k
     if isinstance(layer, MaxPool2D):
         clean = np.ascontiguousarray(_quiet(x, fmt).reshape(n, -1).T)
     else:
         clean = np.zeros((size + 1, n))
         clean[:size] = x.reshape(n, -1).T
-    # int32 halves the tables; an input of 2**31 positions could not be cached.
-    return _ReceptiveField(*(a.astype(np.int32) for a in (reads, cover, slot, count)), clean)
+    return _ReceptiveField(reads.astype(np.int32), cover, slot, count.astype(np.int32), clean)
 
 
 class ActivationCache:
@@ -802,20 +849,23 @@ class ActivationCache:
     input's predicted class. ``weights64[i]`` is layer i's weight in float64,
     None for a layer without one; ``fields[i]`` the receptive field of conv,
     FC or max-pool layer i (:class:`_ReceptiveField`), None for another
-    layer."""
+    layer; ``widest[i]`` the most elements of one input to layer i or any
+    later layer, or of the output, which sizes a batch."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
+        self.widest = list(itertools.accumulate(map(math.prod, net._shapes[::-1]), max))[::-1]
         self.weights64 = [
             layer.weight.astype(np.float64) if isinstance(layer, (Conv2D, FC)) else None
             for layer in net.layers
         ]
         self.acts = list(_layer_outputs(net, evalset.inputs, self.weights64))
         self.preds = _predict(self.acts[-1])
-        self.fields = [
-            _receptive_field(layer, self.acts[i], net.numeric_format)
-            if isinstance(layer, (Conv2D, FC, MaxPool2D)) else None
-            for i, layer in enumerate(net.layers)
-        ]
+        with np.errstate(all="ignore"):
+            self.fields = [
+                _receptive_field(layer, self.acts[i], net.numeric_format)
+                if isinstance(layer, (Conv2D, FC, MaxPool2D)) else None
+                for i, layer in enumerate(net.layers)
+            ]
 
 
 def accuracy(

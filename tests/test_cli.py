@@ -160,12 +160,30 @@ def test_estimate_poc_reports_convergence_point(cli_inputs, tmp_path):
     ("estimate", ["--strategy", "is", "--samples", "-3"], "samples = -3"),
     ("estimate", ["--strategy", "is", "--poc", "--max-samples", "0"], "max_samples = 0"),
     ("compare", ["--seeds", "0", "--max-samples", "0"], "max_samples = 0"),
+    ("estimate", ["--strategy", "is", "--samples", "50", "--max-samples", "-5"],
+     "max_samples = -5"),
+    ("estimate", ["--strategy", "is", "--samples", "50", "--max-samples", "0"], "max_samples = 0"),
 ])
 def test_sample_count_below_one_is_validation_error(cli_inputs, tmp_path, capsys,
                                                     command, args, count):
     rc = main([command] + _with_eval(cli_inputs, tmp_path) + args)
     assert rc == EXIT_VALIDATION
     assert f"validation error: {count} must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("samples", ["0", "50"])
+def test_samples_with_poc_is_usage_error(cli_inputs, tmp_path, capsys, monkeypatch, samples):
+    """A --poc run is capped by --max-samples; a --samples given with it was
+    ignored, whatever its value. It is refused before the oracle runs."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the exhaustive oracle ran before the arguments were checked")
+
+    monkeypatch.setattr("resacc.cli.exhaustive_ra", no_oracle)
+    rc = main(["estimate"] + _with_eval(cli_inputs, tmp_path)
+              + ["--strategy", "is", "--poc", "--samples", samples])
+    assert rc == EXIT_USAGE
+    assert "usage error: --samples" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

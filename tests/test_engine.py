@@ -35,7 +35,7 @@ from resacc.microdnn import (
     faulty_predictions,
     make_fault,
 )
-from resacc.oracle import exhaustive_ra
+from resacc.oracle import exhaustive_ra, live_evaluator
 from resacc.probtransfer import build_table
 from resacc.profile import CONTROL_LAYER, FFType, SoftwareFaultSite, derive_profile
 from resacc.toynets import (
@@ -103,6 +103,21 @@ def _wide_toy(fmt):
     ], (12,), fmt)
 
 
+def _lenet_toy(fmt):
+    """LeNet's layer sequence at toy size: the fault frontier of a first-conv
+    site passes a ReLU and a max-pool and enters a second conv, which runs
+    only its live rows dense, as the benchmark LeNet's conv1 sites do; the
+    rows are checked again before the first FC layer. The second conv is
+    padded, so a flipped weight there also meets padding."""
+    rng = np.random.default_rng(19)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (1, 1, 2, 2), fmt)), ReLU(), MaxPool2D(kernel=2, stride=1),
+        Conv2D(_weights(rng, (2, 1, 2, 2), fmt), stride=2, pad=1), ReLU(),
+        MaxPool2D(kernel=2, stride=2), Flatten(), FC(_weights(rng, (2, 2), fmt)), ReLU(),
+        FC(_weights(rng, (3, 2), fmt)), Softmax(),
+    ], (1, 4, 4), fmt)
+
+
 TOYS = {
     "dense": make_dense_toy,
     "conv": make_conv_toy,
@@ -113,6 +128,7 @@ TOYS = {
     "conv_stride": _conv_stride_toy,
     "tiny_pool": _tiny_pool_toy,
     "wide": _wide_toy,
+    "lenet": _lenet_toy,
 }
 N_INPUTS = 3
 
@@ -181,6 +197,35 @@ def test_archive_equals_reference(monkeypatch, toy, fmt, semantics):
         for key, arr in archive.entries.items():
             expect = np.zeros_like(arr) if key[1] is FFType.CONTROL_GLOBAL else batched[key]
             assert np.array_equal(arr, expect), key
+
+
+MANTISSA_BITS = {NumericFormat.FP32: 23, NumericFormat.FP16: 10}
+
+
+@pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
+@pytest.mark.parametrize("fmt", list(MANTISSA_BITS), ids=lambda f: f.name)
+def test_live_evaluator_equals_reference_on_the_lenet_toy(fmt, semantics):
+    """One live call per site, one variable and one bit, as an estimate on
+    a network too large to enumerate makes them: three sites of every class
+    the semantics models, control-local ones included, at the sign bit, the
+    top and bottom exponent bits and the top and bottom mantissa bits."""
+    net = _lenet_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    evalset = make_evalset(net, 8, seed=4, label_noise=0.3)
+    evaluate = live_evaluator(net, evalset, profile, config, semantics)
+    m = MANTISSA_BITS[fmt]
+    bits = [fmt.width - 1, fmt.width - 2, m, m - 1, 0]
+    classes, _ = _classes(profile, config, semantics)
+    rng = np.random.default_rng(fmt.width)
+    assert any(c.var_type is FFType.CONTROL_LOCAL for c in classes) == (
+        semantics is FaultSemantics.TRUE)
+    for c in (c for c in classes if c.var_count):
+        for v in rng.choice(c.var_count, size=min(3, c.var_count), replace=False):
+            for b in bits:
+                site = SoftwareFaultSite(c.layer_id, c.var_type, int(v), b)
+                fault = make_fault(site, config, semantics)
+                assert evaluate(site) == reference_accuracy(net, evalset, fault, profile), site
 
 
 # --- random networks and sites -----------------------------------------------
@@ -445,6 +490,26 @@ def test_dot_sequential_sums_in_fan_in_order(seed, hits):
                     assert got[e, f, i] == acc and np.signbit(got[e, f, i]) == np.signbit(acc)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dot_sequential_of_one_flip_equals_a_flip_of_many(seed):
+    """One flip is summed in place of its term, several over a shared head;
+    each flip of a batch gives the bits it gives alone."""
+    rng = np.random.default_rng(seed)
+    n, n_elems, n_terms, n_flips = (int(v) for v in rng.integers([1, 1, 1, 2], [4, 6, 200, 5]))
+    terms = rng.normal(size=(n_terms, n_elems, n)) * 10.0 ** rng.integers(-3, 4, (n_terms, 1, 1))
+    terms[rng.random(terms.shape) < 0.1] = -0.0
+    hit_k = rng.integers(0, n_terms, n_elems)
+    faulty = rng.normal(size=(n_elems, n_flips, n))
+    special = rng.random(faulty.shape) < 0.3
+    faulty[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], special.sum())
+    many = kernels.dot_sequential(terms.copy(), hit_k, faulty)
+    for f in range(n_flips):
+        one = kernels.dot_sequential(terms.copy(), hit_k, faulty[:, f : f + 1])
+        assert np.array_equal(one[:, 0], many[:, f], equal_nan=True)
+        assert np.array_equal(np.signbit(one[:, 0]), np.signbit(many[:, f]))
+
+
 def test_dot_sequential_zero_sum_is_positive_zero():
     terms = np.full((5, 3, 2), -0.0)
     got = kernels.dot_sequential(terms, np.array([4, 2, 1]), np.full((3, 2, 2), -0.0))
@@ -641,7 +706,7 @@ def _overlap_toy(fmt):
 @pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
 @pytest.mark.parametrize("fmt", list(NumericFormat), ids=lambda f: f.name)
 @pytest.mark.parametrize("toy", ["dense", "pool", "skew", "overlap", "skip", "stride",
-                                 "conv_stride"])
+                                 "conv_stride", "lenet"])
 def test_batches_of_variables_equal_one_variable_at_a_time(monkeypatch, toy, fmt, semantics):
     """A class evaluated in batches of variables gives, bit for bit, the
     predictions of each variable evaluated alone. Small BATCH_BYTES values
