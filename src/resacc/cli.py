@@ -296,6 +296,18 @@ def _trace_rows(est):
     return [(int(i), float(m), float(v)) for i, m, v in zip(idx, mean, var)]
 
 
+def _at_least_one(**counts) -> None:
+    for name, count in counts.items():
+        if count is not None and count < 1:
+            raise ValidationError(f"{name} = {count} must be at least 1")
+
+
+def _distinct(option: str, values: list) -> None:
+    repeated = sorted({str(v) for v in values if values.count(v) > 1})
+    if repeated:
+        raise UsageError(f"{option} repeats {','.join(repeated)}")
+
+
 def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     """One ``estimate_ra`` per (strategy, seed), each strategy's PDF built
     once: a fixed-budget run over live injection or, with --poc, a run to
@@ -304,9 +316,7 @@ def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     oracle run. Writes each trace and ``summary.csv``, with each strategy's
     median row if ``medians``; returns the exhaustive RA (None without
     --poc) and the estimates."""
-    for name, count in (("samples", args.samples), ("max_samples", args.max_samples)):
-        if count is not None and count < 1:
-            raise ValidationError(f"{name} = {count} must be at least 1")
+    _at_least_one(samples=args.samples, max_samples=args.max_samples)
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
     semantics = _semantics(args, table)
@@ -356,12 +366,16 @@ def cmd_compare(args, out: RunOutputs) -> int:
     if not seeds:
         raise UsageError("--seeds must name at least one seed")
     strategies = [SamplingStrategy(s) for s in args.strategies.split(",")]
+    # A repeat would overwrite its own trace and count twice in the medians.
+    _distinct("--seeds", seeds)
+    _distinct("--strategies", [s.value for s in strategies])
     truth, _ = _estimate(args, out, strategies, seeds, medians=True)
     print(f"exhaustive ra={truth!r}; wrote {len(strategies) * len(seeds)} traces")
     return EXIT_OK
 
 
 def cmd_oracle(args, out: RunOutputs) -> int:
+    _at_least_one(max_inferences=args.max_inferences)
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
     semantics = _semantics(args, table)

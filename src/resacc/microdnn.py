@@ -38,15 +38,24 @@ that cover a changed position, one entry per variable and window. At the
 first conv, FC or softmax layer (or the end of the net), only the vars x
 bits x inputs rows whose values differ in bits from the clean ones are
 built dense and run on to the argmax in one loop
-(:func:`_frontier_predictions`); the rest take the clean prediction.
-Before each later conv and FC layer of that loop, the rows whose bits equal
-the layer's cached clean input are dropped too. Local-control variables are
-grouped by the layer their hashed weight lands in. A chunk holds as many
-variables as keep its widest float64 activation within BATCH_BYTES; a
-single variable too large for that goes in chunks of inputs, a recompute in
-chunks of output elements whose (elements, bits, inputs, fan-in + 1)
-float64 sums fit in BATCH_BYTES, and a frontier max-pool in chunks of
-entries whose window patches fit in it. No chunking changes a result.
+(:func:`_frontier_predictions`); the rest take the clean prediction. A
+chunk of several variables finds those live rows by one float32 product of
+a one-hot (variable, entry) matrix and the entries' differing values
+(:func:`_live_rows`). Before each later conv and FC layer of that loop, the
+rows whose bits equal the layer's cached clean input are dropped too.
+Local-control variables are grouped by the layer their hashed weight lands
+in. A chunk holds as many variables as keep its rows within BATCH_BYTES in
+float64, each row sized by the most elements it holds at once
+(:func:`_row_width`): the widest activation from the first conv, FC or
+softmax layer after the faulted one on, the variable's frontier before
+that, or the terms of one recomputed element, whichever is largest. The
+frontier has one entry per use of the flipped value inside its reuse
+window, and each max-pool on the way may spread an entry to every window
+that covers it, up to its output size. A single variable too large for
+that goes in chunks of inputs, a recompute in chunks of output elements
+whose (elements, bits, inputs, fan-in + 1) float64 sums fit in
+BATCH_BYTES, and a frontier max-pool in chunks of entries whose window
+patches fit in it. No chunking changes a result.
 
 A live call (:func:`accuracy` of one site: one variable, one bit, every
 input) takes this path once, as a chunk of one variable and one bit. Its
@@ -381,9 +390,10 @@ def clean_activations(net: MicroNetwork, x: np.ndarray) -> list[np.ndarray]:
 # --- faulty forward --------------------------------------------------------
 
 CRASHED = -1  # the prediction recorded for an inference the fault crashed
-# Bound, in bytes, on each float64 array of a faulty batch: the widest
-# activation over the batch's variables, bits and inputs, and the
-# recompute's products and sums.
+# Bound, in bytes, on each float64 array of a faulty batch: its rows, each
+# as wide as the most elements one (var, bit, input) row holds at once
+# (_row_width), and the recompute's products and sums and the frontier
+# max-pool's patches.
 BATCH_BYTES = 1 << 20
 
 
@@ -538,6 +548,35 @@ def _faulty_outputs(
     return owner, elems, vals
 
 
+def _row_width(cache: ActivationCache, k: int, var_type: FFType, fault: FaultSpec) -> int:
+    """The most elements one (var, bit, input) row of a ``var_type`` fault
+    at layer k holds at once: its dense part, the widest activation from
+    the first conv, FC or softmax layer after k on (or the output), its
+    fault frontier, the entries of one variable at any layer before that,
+    or the terms of one recomputed element of layer k, whichever is
+    largest. The recompute goes in chunks of elements, but takes at least
+    one over all the batch's rows: a fan-in far wider than the layers after
+    it would otherwise take many times BATCH_BYTES.
+
+    The frontier of layer k's output has one entry per use of the flipped
+    value inside its reuse window: a weight is used once per window, an
+    input position once per output channel of each window that reads it
+    (at most ``cover.shape[1]`` windows), and an output activation or a
+    ReLU input once. Each max-pool on the way spreads an entry to every
+    window that covers it, up to the pool's output size. The per-layer
+    parts are in ``cache.onward``.
+    """
+    dense, pools, recomputed = cache.onward[k]
+    terms, uses = recomputed.get(var_type, (0, 1))
+    # The window length of _window, in Python ints: a live call pays this.
+    entries = uses if fault.mode is FaultMode.FULL_CORRUPTION else min(fault.reuse, uses)
+    width = max(dense, terms, entries)
+    for spread, size in pools:
+        entries = min(entries * spread, size)
+        width = max(width, entries)
+    return width
+
+
 def prediction_batches(
     net: MicroNetwork,
     fault: FaultSpec,
@@ -582,11 +621,11 @@ def prediction_batches(
         k = profile.layer(int(layer_id)).net_index
         if k < 0 or k >= len(net.layers):
             raise ValueError(f"profile layer {layer_id} has no backing network layer")
-        # A batch holds as many variables as keep its widest float64
-        # activation within BATCH_BYTES; a variable too large for that goes in
-        # chunks of inputs. Every kernel treats batch items alone, so chunking
-        # changes no result.
-        rows = max(1, BATCH_BYTES // (8 * cache.widest[k]))
+        # A batch holds as many (var, bit, input) rows as keep each row's
+        # widest part (:func:`_row_width`) within BATCH_BYTES in float64; a
+        # variable too large for that goes in chunks of inputs. Every kernel
+        # treats batch items alone, so chunking changes no result.
+        rows = max(1, BATCH_BYTES // (8 * _row_width(cache, k, var_type, fault)))
         var_step = max(1, rows // max(1, len(bits) * n))
         in_step = max(1, rows // max(1, len(bits)))
         for i in range(0, len(positions), var_step):
@@ -654,6 +693,23 @@ def _pool_frontier(
     return new_owner, new_pos, out
 
 
+def _live_rows(n_vars: int, owner: np.ndarray, differ: np.ndarray) -> np.ndarray:
+    """The flat (var, bit, input) indices of the rows of ``n_vars``
+    variables in which a frontier entry differs from the clean value:
+    ``differ`` (E, F, n) flags the values of each entry, whose variable is
+    ``owner`` (E,).
+
+    Several variables count their differing entries by one product of a
+    one-hot (V, E) matrix and the (E, F*n) flags. A count is at most E,
+    which BATCH_BYTES keeps far below 2**24, so float32 holds it exactly."""
+    _, n_bits, n = differ.shape
+    if n_vars == 1:
+        return np.logical_or.reduce(differ, axis=0).reshape(-1).nonzero()[0]
+    one_hot = (owner == np.arange(n_vars)[:, None]).astype(np.float32)
+    counts = one_hot @ differ.reshape(len(owner), n_bits * n).astype(np.float32)
+    return counts.reshape(-1).nonzero()[0]
+
+
 def _frontier_predictions(
     net: MicroNetwork, cache: ActivationCache, i: int, n_vars: int, owner: np.ndarray,
     pos: np.ndarray, vals: np.ndarray, cols: slice,
@@ -685,13 +741,7 @@ def _frontier_predictions(
     clean = x.reshape(len(x), -1)
     b = fmt.bits_dtype
     _, n_bits, n = vals.shape
-    differ = vals.view(b) != clean.T[pos].view(b)[:, None]  # (E, F, n)
-    if n_vars == 1:
-        live = np.logical_or.reduce(differ, axis=0).reshape(-1).nonzero()[0]
-    else:
-        hit = np.zeros((n_vars, n_bits, n), dtype=bool)
-        np.logical_or.at(hit, owner, differ)
-        live = hit.reshape(-1).nonzero()[0]
+    live = _live_rows(n_vars, owner, vals.view(b) != clean.T[pos].view(b)[:, None])
     preds = np.empty((n_vars, n_bits, n), dtype=np.intp)
     preds[...] = cache.preds[cols]
     if not len(live):
@@ -849,11 +899,17 @@ class ActivationCache:
     input's predicted class. ``weights64[i]`` is layer i's weight in float64,
     None for a layer without one; ``fields[i]`` the receptive field of conv,
     FC or max-pool layer i (:class:`_ReceptiveField`), None for another
-    layer; ``widest[i]`` the most elements of one input to layer i or any
-    later layer, or of the output, which sizes a batch."""
+    layer. ``onward[k]`` holds what sizes a batch of faults at layer k
+    (:func:`_row_width`): (dense, pools, recomputed), dense the most
+    elements of one input to j, the first conv, FC or softmax layer after
+    k, or to any later layer, or of the output; pools the
+    (``cover.shape[1]``, output size) of each max-pool between k and j;
+    and recomputed, for each fault type whose changed elements layer k
+    recomputes, (terms, uses): the terms of one element (fan-in + 1 float64
+    sums, or k*k max-pool patches) and the most uses of one variable."""
 
     def __init__(self, net: MicroNetwork, evalset: EvalSet):
-        self.widest = list(itertools.accumulate(map(math.prod, net._shapes[::-1]), max))[::-1]
+        widest = list(itertools.accumulate(map(math.prod, net._shapes[::-1]), max))[::-1]
         self.weights64 = [
             layer.weight.astype(np.float64) if isinstance(layer, (Conv2D, FC)) else None
             for layer in net.layers
@@ -866,6 +922,21 @@ class ActivationCache:
                 if isinstance(layer, (Conv2D, FC, MaxPool2D)) else None
                 for i, layer in enumerate(net.layers)
             ]
+        self.onward = []
+        for k, (rf, w64) in enumerate(zip(self.fields, self.weights64)):
+            j, pools = k + 1, []
+            while j < len(net.layers) and not isinstance(net.layers[j], (Conv2D, FC, Softmax)):
+                if isinstance(net.layers[j], MaxPool2D):
+                    pools.append((self.fields[j].cover.shape[1], math.prod(net._shapes[j + 1])))
+                j += 1
+            recomputed = {}
+            if rf is not None:
+                terms = rf.reads.shape[1] + (w64 is not None)
+                n_oc = 1 if w64 is None else len(w64)
+                recomputed[FFType.INPUT_ACTIVATION] = (terms, rf.cover.shape[1] * n_oc)
+                if w64 is not None:
+                    recomputed[FFType.WEIGHT] = (terms, len(rf.reads))
+            self.onward.append((widest[j], pools, recomputed))
 
 
 def accuracy(

@@ -117,6 +117,22 @@ def test_bad_utilization_is_validation_error(cli_inputs, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_inferences_below_one_is_validation_error(cli_inputs, tmp_path, capsys, monkeypatch,
+                                                      value):
+    """A budget below one inference is a bad argument, checked as a sample
+    count below one is, not a campaign too large for its budget."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the exhaustive oracle ran before the arguments were checked")
+
+    monkeypatch.setattr("resacc.cli.exhaustive_ra", no_oracle)
+    rc = main(["oracle"] + _with_eval(cli_inputs, tmp_path) + ["--max-inferences", value])
+    assert rc == EXIT_VALIDATION
+    assert f"validation error: max_inferences = {value} must be at least 1" in (
+        capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
+
+
 def test_scale_guard_exit_code_and_cleanup(cli_inputs, tmp_path):
     rc = main(["oracle"] + _with_eval(cli_inputs, tmp_path)
               + ["--max-inferences", "100"])
@@ -275,6 +291,25 @@ def test_compare_file_contract_and_medians(cli_inputs, tmp_path):
     assert sorted(r[0] for r in medians) == sorted(
         ["uniform", "mac", "is", "is-b"]
     )
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--seeds", "1,1"], "--seeds repeats 1"),
+    (["--seeds", "0,2,0,2"], "--seeds repeats 0,2"),
+    (["--seeds", "0", "--strategies", "is,is"], "--strategies repeats is"),
+])
+def test_compare_with_a_repeated_seed_or_strategy_is_usage_error(cli_inputs, tmp_path, capsys,
+                                                                 monkeypatch, args, message):
+    """A repeated run would write over its own trace and count twice in the
+    median row; it is refused before the oracle runs."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the exhaustive oracle ran before the arguments were checked")
+
+    monkeypatch.setattr("resacc.cli.exhaustive_ra", no_oracle)
+    rc = main(["compare"] + _with_eval(cli_inputs, tmp_path) + args)
+    assert rc == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_compare_rerun_is_byte_identical(cli_inputs, tmp_path):

@@ -757,6 +757,136 @@ def test_batches_of_variables_equal_one_variable_at_a_time(monkeypatch, toy, fmt
     assert seen == {"variables", "inputs", "elements"}
 
 
+def _funnel_toy(fmt):
+    """A wide conv output into an overlapping max-pool of nine outputs: a
+    fully corrupted conv weight changes 144 elements, 16 times the dense
+    part of its rows."""
+    rng = np.random.default_rng(20)
+    return MicroNetwork([
+        Conv2D(_weights(rng, (1, 1, 3, 3), fmt), pad=1), ReLU(), MaxPool2D(kernel=6, stride=3),
+        Flatten(), FC(_weights(rng, (3, 9), fmt)), Softmax(),
+    ], (1, 12, 12), fmt)
+
+
+def _head_toy(fmt):
+    """An FC layer of fan-in 256 into two classes: one recomputed element
+    sums 257 terms, 128 times the dense part of its rows."""
+    rng = np.random.default_rng(21)
+    return MicroNetwork([FC(_weights(rng, (2, 256), fmt)), Softmax()], (256,), fmt)
+
+
+@pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
+@pytest.mark.parametrize("toy", ["pool", "overlap", "funnel", "head"])
+def test_oracle_batches_of_variables_stay_within_batch_bytes(monkeypatch, toy, semantics):
+    """A batch is sized by the most elements one (var, bit, input) row holds
+    at once: its dense part, its frontier or one recomputed element. That
+    width is a bound on memory, not a guess. Over every class the oracle
+    evaluates, in batches of several variables, the tracemalloc peak stays
+    under 4 x BATCH_BYTES and the predictions equal the unpatched ones. The
+    overlapping max-pools spread a frontier entry to up to nine windows.
+    Sized without their frontier, the funnel's conv weight rows under SW
+    would peak at 17 x BATCH_BYTES; sized without the sums of one
+    recomputed element, the head's FC rows would peak at 6 x and the
+    overlap toy's at 4.4 x."""
+    fmt = NumericFormat.FP32
+    net = {"pool": make_pool_toy, "overlap": _overlap_toy, "funnel": _funnel_toy,
+           "head": _head_toy}[toy](fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    cache = ActivationCache(net, make_evalset(net, 4, seed=6))
+    classes, bit_width = _classes(profile, config, semantics)
+    faults = [(c, make_fault(SoftwareFaultSite(c.layer_id, c.var_type, 0, 0), config, semantics))
+              for c in classes]
+    faults = [(c, f) for c, f in faults if f.mode is not FaultMode.CRASH]
+    bits = range(bit_width)
+    whole = [faulty_predictions(net, f, profile, cache, bits, np.arange(c.var_count))
+             for c, f in faults]
+    monkeypatch.setattr(microdnn, "BATCH_BYTES", 1 << 16)
+    most_vars = 0
+    tracemalloc.start()
+    try:
+        for (c, fault), expect in zip(faults, whole):
+            for positions, preds in microdnn.prediction_batches(net, fault, profile, cache, bits,
+                                                                np.arange(c.var_count)):
+                assert np.array_equal(preds, expect[positions]), c
+                most_vars = max(most_vars, len(positions))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert most_vars > 1
+    assert peak < 4 * microdnn.BATCH_BYTES, peak
+
+
+def test_pool16_oracle_batch_count_per_class():
+    """The FP16 pool toy over 40 inputs, the benchmark's oracle workload,
+    takes 20 batches besides the crash class's one. Sized by the widest
+    activation from the faulted layer on, as it once was, it took 49: each
+    class of the conv and the ReLU, and the max-pool's input, went in 4 to
+    8 batches."""
+    fmt = NumericFormat.FP16
+    net = make_pool_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    cache = ActivationCache(net, make_evalset(net, 40, seed=0))
+    classes, bit_width = _classes(profile, config, FaultSemantics.TRUE)
+    counts = {}
+    for c in classes:
+        fault = make_fault(SoftwareFaultSite(c.layer_id, c.var_type, 0, 0), config)
+        batches = microdnn.prediction_batches(net, fault, profile, cache, range(bit_width),
+                                              np.arange(c.var_count))
+        counts[c.layer_id, c.var_type] = sum(1 for _ in batches)
+    ia, w, oa = FFType.INPUT_ACTIVATION, FFType.WEIGHT, FFType.OUTPUT_ACTIVATION
+    assert counts == {
+        (0, ia): 2, (0, w): 1, (0, oa): 2, (1, ia): 2, (1, oa): 2, (2, ia): 2, (2, oa): 1,
+        (3, ia): 1, (3, w): 2, (3, oa): 1,
+        (CONTROL_LAYER, FFType.CONTROL_GLOBAL): 1, (CONTROL_LAYER, FFType.CONTROL_LOCAL): 4,
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_live_rows_are_the_rows_any_entry_changes(seed):
+    """The one-hot product finds the rows a per-variable np.any finds,
+    with no entry at all, and with variables that have no entry."""
+    rng = np.random.default_rng(seed)
+    n_bits, n = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    for n_vars in (1, 2, 7):
+        for n_entries in (0, 1, 5, 40):
+            owner = np.sort(rng.integers(0, n_vars, size=n_entries))
+            if n_vars > 2 and n_entries:
+                owner[owner == 1] = 0  # variable 1 has no entry
+            differ = rng.random((n_entries, n_bits, n)) < rng.choice([0.0, 0.1, 0.5])
+            expect = np.array([differ[owner == v].any(axis=0) for v in range(n_vars)])
+            got = microdnn._live_rows(n_vars, owner, differ)
+            assert np.array_equal(got, np.flatnonzero(expect)), (n_vars, n_entries)
+
+
+@pytest.mark.parametrize("semantics", list(FaultSemantics), ids=lambda s: s.name)
+def test_batch_of_variables_with_an_empty_frontier_gives_clean_predictions(
+        monkeypatch, semantics):
+    """Input positions that no conv window reads change no element: a batch
+    of several of them has no frontier entry at all, and every prediction
+    is the clean one."""
+    fmt = NumericFormat.FP32
+    net = _conv_stride_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config)
+    cache = ActivationCache(net, make_evalset(net, 4, seed=6))
+    unread = np.flatnonzero(cache.fields[0].count == 0)
+    assert len(unread) > 1
+    fault = make_fault(SoftwareFaultSite(0, FFType.INPUT_ACTIVATION, 0, 0), config, semantics)
+    shapes = []
+    live_rows = microdnn._live_rows
+
+    def spy(n_vars, owner, differ):
+        shapes.append((n_vars, differ.shape))
+        return live_rows(n_vars, owner, differ)
+
+    monkeypatch.setattr(microdnn, "_live_rows", spy)
+    got = faulty_predictions(net, fault, profile, cache, range(fmt.width), unread)
+    assert shapes == [(len(unread), (0, fmt.width, 4))]
+    assert np.array_equal(got, np.broadcast_to(cache.preds, got.shape))
+
+
 def test_oracle_progress_rises_to_the_total(monkeypatch):
     """``progress`` is called once per batch with a strictly rising count of
     sites done that ends at the total; a caller may divide by the step."""
