@@ -79,7 +79,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 
@@ -184,13 +184,13 @@ def _load_eval(path: str, net):
 def _parse_utilization(text: str | None) -> dict[int, float] | None:
     if not text:
         return None
-    out: dict[int, float] = {}
     try:
-        for part in text.split(","):
-            lid, frac = part.split("=")
-            out[int(lid)] = float(frac)
+        pairs = [(int(lid), float(frac)) for lid, frac in (p.split("=") for p in text.split(","))]
     except ValueError as e:
         raise ValidationError(f"bad --utilization {text!r}: {e}") from e
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        raise ValidationError(f"bad --utilization {text!r}: a layer id repeats")
     for lid, frac in out.items():
         if not 0.0 < frac <= 1.0:
             raise ValidationError(f"utilization for layer {lid} must be in (0, 1]")
@@ -245,12 +245,6 @@ def _semantics(args, table) -> FaultSemantics:
     if any(c.layer_id == CONTROL_LAYER for c in table.classes):
         raise ValidationError("--semantics sw needs a config with no control FFs")
     return FaultSemantics.SW
-
-
-def _uf_map(args, profile):
-    if getattr(args, "uf", "one") == "actual":
-        return lambda lid: profile.layer(lid).utilization
-    return None
 
 
 # --- subcommands -----------------------------------------------------------
@@ -321,20 +315,19 @@ def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     table = build_table(profile, config)
     semantics = _semantics(args, table)
     sa = accuracy(net, evalset, None, profile)
-    uf = _uf_map(args, profile)
     spec_hash = _hash_for(args, need_evalset=True)
     pdfs = [build_pdf(s, table, profile, sa=sa) for s in strategies]
     truth, budget = None, {"samples": args.samples}
     if args.poc:
         criteria = PoCCriteria(mean_tol=args.threshold)
-        result, archive = exhaustive_ra(profile, config, net, evalset, semantics, uf=uf)
+        result, archive = exhaustive_ra(profile, config, net, evalset, semantics)
         truth, evaluator = result.ra, archive.evaluator
         budget = {"criteria": criteria, "ground_truth": truth, "max_samples": args.max_samples}
     else:
         evaluator = live_evaluator(net, evalset, profile, config, semantics)
     rows, median_rows, ests = [], [], []
     for strategy, pdf in zip(strategies, pdfs):
-        runs = [estimate_ra(pdf, table, evaluator, seed=s, sa=sa, uf=uf, **budget) for s in seeds]
+        runs = [estimate_ra(pdf, table, evaluator, seed=s, sa=sa, **budget) for s in seeds]
         for seed, est in zip(seeds, runs):
             out.write_csv(f"trace_{strategy.value}_seed{seed}.csv",
                           "sample_index,running_mean,running_variance",
@@ -395,7 +388,7 @@ def cmd_oracle(args, out: RunOutputs) -> int:
     out.out_dir.mkdir(parents=True, exist_ok=True)
     archive.save(out.out_dir / "archive.npz")
     out.track(out.out_dir / "archive.npz")
-    print(f"exhaustive ra={result.ra!r} sa={result.sa!r}")
+    print(f"exhaustive ra={float(result.ra)!r} sa={float(result.sa)!r}")
     return EXIT_OK
 
 
@@ -420,7 +413,6 @@ def cmd_gridsim(args, out: RunOutputs) -> int:
 def cmd_study(args, out: RunOutputs) -> int:
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     spec_hash = _hash_for(args, need_evalset=True)
-    uf = _uf_map(args, profile)
     table = build_table(profile, config)
     true_res, archive = exhaustive_ra(profile, config, net, evalset, FaultSemantics.TRUE)
     sa = archive.sa
@@ -438,7 +430,7 @@ def cmd_study(args, out: RunOutputs) -> int:
         out.write_csv("study_methods.csv", "method,ra", rows, spec_hash, args.seed)
     elif args.study == "harden":
         results = hardening_study(profile, config, archive.evaluator, sa,
-                                  hardened_fit=args.harden_fit, uf=uf)
+                                  hardened_fit=args.harden_fit)
         rows = [(name, r.ra) for name, r in results.items()]
         out.write_csv("study_harden.csv", "hardened,ra", rows, spec_hash, args.seed)
     else:
@@ -485,17 +477,17 @@ def _build_parser() -> _Parser:
                      help="run until the point of convergence vs the exhaustive RA")
     est.add_argument("--threshold", type=float, default=0.003,
                      help="relative mean tolerance for convergence")
-    est.add_argument("--uf", choices=["one", "actual"], default="one")
     est.add_argument("--max-samples", type=int, default=200_000, dest="max_samples")
-    est.set_defaults(func=cmd_estimate)
+    # `uf` is no option; it stays in the spec hash, so that runs without
+    # --utilization keep the output bytes of earlier versions.
+    est.set_defaults(func=cmd_estimate, uf="one")
 
     cmp_ = sub.add_parser("compare", parents=[common, evalc, semc])
     cmp_.add_argument("--strategies", default="uniform,mac,is,is-b")
     cmp_.add_argument("--seeds", default="0,1,2")
     cmp_.add_argument("--threshold", type=float, default=0.003)
-    cmp_.add_argument("--uf", choices=["one", "actual"], default="one")
     cmp_.add_argument("--max-samples", type=int, default=200_000, dest="max_samples")
-    cmp_.set_defaults(func=cmd_compare, poc=True, samples=None)
+    cmp_.set_defaults(func=cmd_compare, poc=True, samples=None, uf="one")
 
     orc = sub.add_parser("oracle", parents=[common, evalc, semc])
     orc.add_argument("--max-inferences", type=int, default=10**6, dest="max_inferences")

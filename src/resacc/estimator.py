@@ -1,10 +1,13 @@
 """Monte Carlo RA estimation with importance sampling.
 
-The estimand is the expected accuracy under one fault, sum_j p(j) * A(j)
-(optionally utilization-weighted). Sampling runs over (layer, type, bit)
-equivalence classes with uniform selection inside a class; same-class sites
-share p(j), so the per-sample contribution p(X) * A(X) / PDF(X) keeps the
-estimator unbiased for any of the supported PDFs:
+The estimand is the expected accuracy under one fault, sum_j p(j) * A(j),
+each site's term weighted by the utilization u of its layer as
+`probtransfer.ra_integrand` weights it. The table carries p(j) and u per
+(layer, type) class, and a PDF carries both per unit. Sampling runs over
+(layer, type, bit) equivalence classes with uniform selection inside a
+class; same-class sites share p(j) and u, so the per-sample contribution
+ra_integrand(X) / PDF(X) keeps the estimator unbiased for any of the
+supported PDFs:
 
 * Uniform        — constant over all sites.
 * MacWeighted    — proportional to the MAC operations a variable takes part in.
@@ -40,11 +43,11 @@ from .probtransfer import (
     Evaluator,
     RAResult,
     SiteProbabilityTable,
-    UFMap,
     build_table,
     class_accuracies,
     gather_accuracies,
     ra_from_accuracies,
+    ra_integrand,
     sequential_sum,
 )
 from .profile import (
@@ -98,6 +101,7 @@ class DiscretePDF:
     members: np.ndarray
     weights: np.ndarray
     site_probs: np.ndarray  # per-var-per-bit p(j) of each unit's sites
+    utilization: np.ndarray  # u of each unit's layer, as in its table class
     exact_integrand: bool = False  # built from oracle p*A; zero weights are safe
     _cum: np.ndarray = field(init=False, repr=False)
     # each unit's (layer, type, bit) class, numbered in sorted order
@@ -143,7 +147,7 @@ class DiscretePDF:
 
 
 def _units_from_table(table: SiteProbabilityTable, include_types) -> dict[str, list]:
-    cols = {"layer": [], "type": [], "bit": [], "members": [], "p": []}
+    cols = {"layer": [], "type": [], "bit": [], "members": [], "p": [], "u": []}
     for c in table.classes:
         if c.var_type not in include_types:
             continue
@@ -153,6 +157,7 @@ def _units_from_table(table: SiteProbabilityTable, include_types) -> dict[str, l
             cols["bit"].append(b)
             cols["members"].append(c.var_count)
             cols["p"].append(c.per_var_per_bit_prob)
+            cols["u"].append(c.utilization)
     return cols
 
 
@@ -165,6 +170,7 @@ def _make_pdf(cols, weights, exact=False) -> DiscretePDF:
         members=np.asarray(cols["members"], dtype=np.int64),
         weights=np.asarray(weights, dtype=np.float64),
         site_probs=np.asarray(cols["p"], dtype=np.float64),
+        utilization=np.asarray(cols["u"], dtype=np.float64),
         exact_integrand=exact,
     )
 
@@ -236,20 +242,16 @@ def default_bp_drop_for(table: SiteProbabilityTable) -> dict[int, float]:
 
 
 def build_zero_variance_pdf(
-    table: SiteProbabilityTable,
-    evaluator: Evaluator,
-    sa: float,
-    uf: UFMap | None = None,
+    table: SiteProbabilityTable, evaluator: Evaluator, sa: float
 ) -> DiscretePDF:
     """PDF exactly proportional to the integrand, from oracle-supplied
-    accuracies: one unit per site, weight p(j) * A_uf(j). With this PDF every
+    accuracies: one unit per site, weight `ra_integrand`. With this PDF every
     sample contributes the same value (the estimator variance is zero)."""
-    cols: dict[str, list] = {k: [] for k in ("layer", "type", "bit", "members", "p", "var")}
+    cols: dict[str, list] = {k: [] for k in ("layer", "type", "bit", "members", "p", "u", "var")}
     weights = []
     accs = class_accuracies(table.classes, table.bit_width, evaluator)
     for c, a in zip(table.classes, accs):
-        u = 1.0 if (uf is None or c.layer_id == CONTROL_LAYER) else uf(c.layer_id)
-        f = c.per_var_per_bit_prob * (u * a + (1.0 - u) * sa)
+        f = ra_integrand(c.per_var_per_bit_prob, c.utilization, a, sa)
         vars_, bits = np.nonzero(~(f <= 0.0))  # var-major, as the sites run
         n = len(vars_)
         cols["layer"].append(np.full(n, c.layer_id))
@@ -257,6 +259,7 @@ def build_zero_variance_pdf(
         cols["bit"].append(bits)
         cols["members"].append(np.ones(n, dtype=np.int64))
         cols["p"].append(np.full(n, c.per_var_per_bit_prob))
+        cols["u"].append(np.full(n, c.utilization))
         cols["var"].append(vars_)
         weights.append(f[vars_, bits])
     cols = {k: np.concatenate(v) for k, v in cols.items()}
@@ -365,7 +368,6 @@ def estimate_ra(
     ground_truth: float | None = None,
     seed: int = 0,
     sa: float | None = None,
-    uf: UFMap | None = None,
     max_samples: int = 200_000,
     batch: int = 2048,
 ) -> RAEstimate:
@@ -374,12 +376,15 @@ def estimate_ra(
     Stops after `samples` draws, or (when `criteria` and `ground_truth` are
     given instead) at the point of convergence, capped at `max_samples`.
     The evaluator is called once per distinct site of the run, at the
-    site's first draw; repeated draws reuse that A(j).
+    site's first draw; repeated draws reuse that A(j). `sa` may be left out
+    only when every unit of `pdf` is fully utilized, so that SA has no weight.
     """
     if samples is None and (criteria is None or ground_truth is None):
         raise ValueError("need either a sample count or criteria + ground truth")
-    if uf is not None and sa is None:
-        raise ValueError("utilization weighting needs the fault-free accuracy")
+    if sa is None:
+        if np.any(pdf.utilization < 1.0):
+            raise ValueError("utilization weighting needs the fault-free accuracy")
+        sa = 0.0
     _check_coverage(pdf, table)
     name, limit = ("samples", samples) if samples is not None else ("max_samples", max_samples)
     if limit < 1:
@@ -388,10 +393,6 @@ def estimate_ra(
         raise ValueError(f"batch = {batch} must be at least 1")
     rng = np.random.default_rng(seed)
     site_pdf = pdf.site_pdf()
-    if uf is not None:
-        layers = np.unique(pdf.layer_ids)
-        util = np.array([1.0 if lid == CONTROL_LAYER else uf(int(lid)) for lid in layers])
-        w = util[np.searchsorted(layers, pdf.layer_ids)]
     memo = _SiteMemo(pdf, evaluator)
     contribs = np.empty(limit, dtype=np.float64)
     drawn = 0
@@ -400,11 +401,7 @@ def estimate_ra(
         n = min(batch, limit - drawn)
         units, vars_ = pdf.draw_batch(rng, n)
         a = memo.lookup(units, vars_)
-        if uf is not None:
-            wu = w[units]
-            f = pdf.site_probs[units] * (wu * a + (1.0 - wu) * sa)
-        else:
-            f = pdf.site_probs[units] * a
+        f = ra_integrand(pdf.site_probs[units], pdf.utilization[units], a, sa)
         contribs[drawn : drawn + n] = f / site_pdf[units]
         drawn += n
         if samples is None:
@@ -429,32 +426,6 @@ def estimate_ra(
 
 # --- baselines and studies -------------------------------------------------
 
-def ra_sw_baseline(
-    evaluator: Evaluator,
-    table: SiteProbabilityTable,
-    samples: int,
-    seed: int = 0,
-) -> RAEstimate:
-    """The software-injection baseline: uniform averaging of A(j) over
-    weight/activation sites only (no control sites, no site weighting)."""
-    if samples < 1:
-        raise ValueError(f"samples = {samples} must be at least 1")
-    cols = _units_from_table(table, set(DATAPATH_TYPES))
-    pdf = _make_pdf(cols, np.asarray(cols["members"], dtype=np.float64), exact=True)
-    rng = np.random.default_rng(seed)
-    units, vars_ = pdf.draw_batch(rng, samples)
-    vals = _SiteMemo(pdf, evaluator).lookup(units, vars_)
-    trace = np.cumsum(vals) / np.arange(1, samples + 1)
-    return RAEstimate(
-        mean=float(trace[-1]),
-        variance=float(np.var(vals, ddof=1)) if samples > 1 else 0.0,
-        samples_drawn=samples,
-        trace=trace,
-        seed=seed,
-        contribs=vals,
-    )
-
-
 def uniform_site_mean(
     evaluator: Evaluator, table: SiteProbabilityTable, include_control: bool
 ) -> float:
@@ -465,9 +436,7 @@ def uniform_site_mean(
     return sequential_sum(values) / len(values)
 
 
-def ra_true_nc(
-    table: SiteProbabilityTable, evaluator: Evaluator, sa: float, uf: UFMap | None = None
-) -> RAResult:
+def ra_true_nc(table: SiteProbabilityTable, evaluator: Evaluator, sa: float) -> RAResult:
     """RA under the true site probabilities but with global-control FFs
     assumed fault-free (their accuracy pinned to SA, never evaluated)."""
     live = [c for c in table.classes if c.var_type is not FFType.CONTROL_GLOBAL]
@@ -477,7 +446,7 @@ def ra_true_nc(
         if c.var_type is FFType.CONTROL_GLOBAL else next(got)
         for c in table.classes
     ]
-    return ra_from_accuracies(table, accs, sa, uf)
+    return ra_from_accuracies(table, accs, sa)
 
 
 def fit_sdc_rates(
@@ -520,7 +489,6 @@ def hardening_study(
     evaluator: Evaluator,
     sa: float,
     hardened_fit: float = 200.0,
-    uf: UFMap | None = None,
 ) -> dict[str, RAResult]:
     """Re-derive RA with one FF type's raw FIT rate lowered to the hardened
     value at a time, plus the None/All brackets.
@@ -552,7 +520,7 @@ def hardening_study(
     base_mass = _fit_mass(config)
     results: dict[str, RAResult] = {}
     for name, cfg in configs.items():
-        cond = ra_from_accuracies(tables[name], accs, sa, uf)
+        cond = ra_from_accuracies(tables[name], accs, sa)
         r = _fit_mass(cfg) / base_mass
         results[name] = RAResult(
             ra=r * cond.ra + (1.0 - r) * sa, sa=sa, components=cond.components

@@ -27,7 +27,6 @@ from .microdnn import (
 from .probtransfer import (
     ProbClass,
     RAResult,
-    UFMap,
     build_table,
     ra_from_accuracies,
     sequential_sum,
@@ -95,21 +94,20 @@ def exhaustive_ra(
     net: MicroNetwork,
     evalset: EvalSet,
     semantics: FaultSemantics = FaultSemantics.TRUE,
-    uf: UFMap | None = None,
     max_inferences: int = 10**6,
     progress=None,
 ) -> tuple[RAResult, SiteArchive]:
-    """Evaluate A(j) for every fault site and return the exact RA, with the
-    archive of every class of the table (:func:`evaluate_classes`, which
-    takes `max_inferences` and `progress`). `uf` maps a layer id to its
-    utilization, as in `ra_expected`."""
+    """Evaluate A(j) for every fault site and return the exact RA, weighted
+    by the profile's utilization as in `ra_expected`, with the archive of
+    every class of the table (:func:`evaluate_classes`, which takes
+    `max_inferences` and `progress`)."""
     table = build_table(profile, config)
     archive = evaluate_classes(
         net, evalset, profile, config, table.classes, table.bit_width, semantics,
         max_inferences, progress,
     )
     accs = [archive.entries[(c.layer_id, c.var_type)] for c in table.classes]
-    return ra_from_accuracies(table, accs, archive.sa, uf), archive
+    return ra_from_accuracies(table, accs, archive.sa), archive
 
 
 def evaluate_classes(

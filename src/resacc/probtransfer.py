@@ -33,7 +33,6 @@ from .profile import (
 )
 
 Evaluator = Callable[[SoftwareFaultSite], float]  # a site's accuracy A(j)
-UFMap = Callable[[int], float]  # a layer's utilization, by layer id
 
 
 def type_prob(config: AcceleratorConfig, t: FFType) -> float:
@@ -81,12 +80,14 @@ def occupied_mass(profile: NetworkProfile, config: AcceleratorConfig) -> float:
 
 @dataclass(frozen=True)
 class ProbClass:
-    """One (layer, type) equivalence class of sites sharing a probability."""
+    """One (layer, type) equivalence class of sites sharing a probability,
+    and the utilization of its layer (1.0 for control classes)."""
 
     layer_id: int
     var_type: FFType
     var_count: int
     per_var_per_bit_prob: float
+    utilization: float = 1.0
 
     def total_prob(self, bit_width: int) -> float:
         return self.per_var_per_bit_prob * self.var_count * bit_width
@@ -117,7 +118,7 @@ def build_table(profile: NetworkProfile, config: AcceleratorConfig) -> SiteProba
                 continue
             w = config.raw_fit.get(t, 0.0)
             p = lp * type_prob(config, t) * w / (n * norm * config.bit_width)
-            classes.append(ProbClass(layer.layer_id, t, n, p))
+            classes.append(ProbClass(layer.layer_id, t, n, p, layer.utilization))
     for t in CONTROL_TYPES:
         n = profile.control_var_count.get(t, 0)
         if n < 1:
@@ -198,35 +199,30 @@ def sequential_sum(terms: np.ndarray) -> float:
     return 0.0 + float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
+def ra_integrand(p, u, a, sa):
+    """p(j) * (u * A(j) + (1 - u) * SA), a site's term of RA. RA is
+    conditioned on a fault having occurred: a fault on a cell its layer
+    leaves idle (chance 1 - u) corrupts nothing, so the run keeps SA. At
+    u = 1 this is p(j) * A(j) bit for bit."""
+    return p * (u * a + (1.0 - u) * sa)
+
+
 def ra_from_accuracies(
-    table: SiteProbabilityTable,
-    accs: list[np.ndarray],
-    sa: float,
-    uf: UFMap | None = None,
+    table: SiteProbabilityTable, accs: list[np.ndarray], sa: float
 ) -> RAResult:
     """`ra_expected` over A(j) already gathered by `class_accuracies` for
     the classes of `table`, in its class order."""
     ra = 0.0
     components: dict[FFType, float] = {t: 0.0 for t in FFType}
     for c, a in zip(table.classes, accs, strict=True):
-        u = 1.0 if uf is None or c.layer_id == CONTROL_LAYER else uf(c.layer_id)
-        acc = sequential_sum(c.per_var_per_bit_prob * (u * a + (1.0 - u) * sa))
+        acc = sequential_sum(ra_integrand(c.per_var_per_bit_prob, c.utilization, a, sa))
         ra += acc
         components[c.var_type] += acc
     return RAResult(ra=ra, sa=sa, components=components)
 
 
-def ra_expected(
-    table: SiteProbabilityTable,
-    accuracies: Evaluator,
-    sa: float,
-    uf: UFMap | None = None,
-) -> RAResult:
-    """Exact expected accuracy under one fault: sum over sites of
-    p(j) * (UF(j) * A(j) + (1 - UF(j)) * SA).
-
-    `uf` maps a layer id to its utilization; None means fully utilized.
-    Control sites always use UF = 1 (control FFs are live for the whole run).
-    """
+def ra_expected(table: SiteProbabilityTable, accuracies: Evaluator, sa: float) -> RAResult:
+    """Exact expected accuracy under one fault: the sum over sites of
+    `ra_integrand`, each class at its utilization in `table`."""
     accs = class_accuracies(table.classes, table.bit_width, accuracies)
-    return ra_from_accuracies(table, accs, sa, uf)
+    return ra_from_accuracies(table, accs, sa)

@@ -170,13 +170,13 @@ def derive_profile(
             continue
         else:
             raise ValueError(f"unsupported layer kind: {type(layer).__name__}")
-        uf = 1.0 if utilization is None else utilization.get(layer_id, 1.0)
+        u = 1.0 if utilization is None else utilization.get(layer_id, 1.0)
         layers.append(
             LayerStats(
                 layer_id=layer_id,
                 mac_count=mac,
                 var_count=var_count,
-                utilization=uf,
+                utilization=u,
                 net_index=net_index,
             )
         )

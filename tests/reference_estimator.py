@@ -60,23 +60,6 @@ def estimate_ra(pdf, table, evaluator, *, samples=None, criteria=None,
     return c, trace, poc
 
 
-def ra_sw_baseline_values(evaluator, pdf, samples, seed):
-    """The per-sample A(j) of ``ra_sw_baseline`` over its uniform PDF."""
-    rng = np.random.default_rng(seed)
-    units, vars_ = pdf.draw_batch(rng, samples)
-    vals = np.empty(samples)
-    cache = {}
-    for i in range(samples):
-        u, v = int(units[i]), int(vars_[i])
-        key = (int(pdf.layer_ids[u]), int(pdf.type_codes[u]), v, int(pdf.bit_pos[u]))
-        a = cache.get(key)
-        if a is None:
-            a = evaluator(pdf.site_at(u, v))
-            cache[key] = a
-        vals[i] = a
-    return vals
-
-
 def _sites(table, c):
     for v in range(c.var_count):
         for b in range(table.bit_width):

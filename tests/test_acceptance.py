@@ -213,16 +213,19 @@ def test_criterion_07_utilization_correction():
     util = {0: 0.7, 1: 0.9}
     ctx = build_context(make_dense_toy(seed=3), make_config(), utilization=util)
     oracle_res, arch = exhaustive_ra(
-        ctx.profile, ctx.config, ctx.net, ctx.evalset, FaultSemantics.TRUE,
-        uf=lambda lid: util.get(lid, 1.0),
+        ctx.profile, ctx.config, ctx.net, ctx.evalset, FaultSemantics.TRUE
     )
     pdf = build_pdf(SamplingStrategy.IMPORTANCE, ctx.table, ctx.profile)
     est_actual = estimate_ra(
-        pdf, ctx.table, arch.evaluator, samples=20_000, seed=2,
-        sa=arch.sa, uf=lambda lid: util.get(lid, 1.0),
+        pdf, ctx.table, arch.evaluator, samples=20_000, seed=2, sa=arch.sa
     ).mean
+    # The same net's table at UF = 1. IS weights do not depend on utilization,
+    # so the same seed draws the same sites.
+    profile_one = derive_profile(ctx.net, ctx.config)
+    table_one = build_table(profile_one, ctx.config)
+    pdf_one = build_pdf(SamplingStrategy.IMPORTANCE, table_one, profile_one)
     est_one = estimate_ra(
-        pdf, ctx.table, arch.evaluator, samples=20_000, seed=2,
+        pdf_one, table_one, arch.evaluator, samples=20_000, seed=2,
     ).mean
     closer = abs(est_actual - oracle_res.ra) < abs(est_one - oracle_res.ra)
     lower = est_one < est_actual

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_estimator as ref
 import resacc
 from resacc.cli import (
     EXIT_OK,
@@ -28,9 +29,9 @@ from resacc.cli import (
     read_csv,
 )
 from resacc.container import load_evalset, load_network, save_evalset, save_network
-from resacc.estimator import uniform_site_mean
+from resacc.estimator import PoCCriteria, SamplingStrategy, build_pdf, uniform_site_mean
 from resacc.microdnn import EvalSet, FaultSemantics, forward
-from resacc.oracle import live_evaluator
+from resacc.oracle import SiteArchive, live_evaluator
 from resacc.probtransfer import build_table
 from resacc.profile import CONTROL_TYPES, DATAPATH_TYPES, config_to_text, derive_profile
 from resacc.formats import NumericFormat
@@ -110,11 +111,21 @@ def test_missing_input_file_is_validation_error(cli_inputs, tmp_path, capsys):
 
 def test_bad_utilization_is_validation_error(cli_inputs, tmp_path, capsys):
     for value, message in [("0=1.5", "utilization for layer 0 must be in (0, 1]"),
-                           ("99=0.5", "utilization names layers the profile lacks: [99]")]:
+                           ("99=0.5", "utilization names layers the profile lacks: [99]"),
+                           ("0=0.7,0=0.9", "a layer id repeats")]:
         rc = main(["probs"] + _common(cli_inputs, tmp_path)
                   + ["--utilization", value])
         assert rc == EXIT_VALIDATION, value
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_uf_is_no_option(cli_inputs, tmp_path, command):
+    """Utilization weights every TRUE-semantics RA through the table, so
+    there is no separate switch for it."""
+    args = ["--strategy", "is", "--poc"] if command == "estimate" else []
+    rc = main([command] + _with_eval(cli_inputs, tmp_path) + args + ["--uf", "actual"])
+    assert rc == EXIT_USAGE
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -322,7 +333,7 @@ def test_compare_rerun_is_byte_identical(cli_inputs, tmp_path):
 
 @pytest.mark.parametrize("strategy,seed,extra", [
     ("is-b", 1, []),
-    ("mac", 2, ["--uf", "actual", "--utilization", "0=0.6"]),
+    ("mac", 2, ["--utilization", "0=0.6"]),
 ])
 def test_estimate_poc_is_compare_of_one_run(cli_inputs, tmp_path, strategy, seed, extra):
     """`estimate --poc` is `compare` over one strategy and one seed: the
@@ -518,7 +529,12 @@ def test_study_outputs(cli_inputs, tmp_path, study, fname, schema, nrows):
     rc = main(["study"] + _with_eval(cli_inputs, tmp_path)
               + ["--study", study])
     assert rc == EXIT_OK
-    assert len(read_csv(tmp_path / fname, schema)) == nrows
+    rows = read_csv(tmp_path / fname, schema)
+    assert len(rows) == nrows
+    # every value cell is a float literal, not the repr of a numpy scalar
+    for row in rows:
+        for value in row[1:]:
+            float(value)
 
 
 def test_study_methods_reads_ra_sw_from_the_batched_oracle(cli_inputs, tmp_path, monkeypatch):
@@ -550,6 +566,58 @@ def test_study_methods_with_zero_datapath_fit_rates_runs(cli_inputs, tmp_path):
     out = tmp_path / "out"
     assert main(["study"] + _with_eval(inp, out) + ["--study", "methods"]) == EXIT_OK
     assert len(read_csv(out / "study_methods.csv", "method,ra")) == 4
+
+
+def test_utilization_weights_every_true_ra_bit_for_bit(cli_inputs, tmp_path, capsys):
+    """With --utilization, `oracle`, `estimate --samples`, `compare` and the
+    TRUE-semantics RAs of `study methods` and `study harden` equal, bit for
+    bit, the naive loops given the same per-layer utilization. RA_SW-cA
+    stays utilization-unaware."""
+    config = make_config()
+    profile = derive_profile(load_network(cli_inputs["network"]), config,
+                             utilization={0: 0.7, 1: 0.9})
+    table = build_table(profile, config)
+    uf = lambda lid: profile.layer(lid).utilization  # noqa: E731
+
+    def run(name, command, *args):
+        out = tmp_path / name
+        assert main([command] + _with_eval(cli_inputs, out)
+                    + ["--utilization", "0=0.7,1=0.9", *args]) == EXIT_OK
+        return out, capsys.readouterr().out
+
+    out, printed = run("oracle", "oracle")
+    arch = SiteArchive.load(out / "archive.npz")
+    truth = ref.ra_expected(table, arch.evaluator, arch.sa, uf).ra
+    assert truth != ref.ra_expected(table, arch.evaluator, arch.sa).ra
+    assert printed == f"exhaustive ra={truth!r} sa={arch.sa!r}\n"
+
+    summary = "strategy,seed,ra,samples_to_poc"
+    out, _ = run("estimate", "estimate", "--strategy", "is", "--samples", "300", "--seed", "4")
+    pdf = build_pdf(SamplingStrategy.IMPORTANCE, table, profile, sa=arch.sa)
+    _, trace, _ = ref.estimate_ra(pdf, table, arch.evaluator, samples=300, seed=4,
+                                  sa=arch.sa, uf=uf)
+    assert read_csv(out / "summary.csv", summary)[0][2] == repr(float(trace[-1]))
+
+    out, printed = run("compare", "compare", "--strategies", "is-b,mac", "--seeds", "1")
+    assert printed.startswith(f"exhaustive ra={truth!r};")
+    for strategy, _, ra, poc in read_csv(out / "summary.csv", summary)[:2]:
+        pdf = build_pdf(SamplingStrategy(strategy), table, profile, sa=arch.sa)
+        _, trace, want_poc = ref.estimate_ra(
+            pdf, table, arch.evaluator, criteria=PoCCriteria(), ground_truth=truth,
+            seed=1, sa=arch.sa, uf=uf,
+        )
+        assert (ra, poc) == (repr(float(trace[-1])), str(want_poc)), strategy
+
+    out, _ = run("methods", "study", "--study", "methods")
+    rows = dict(read_csv(out / "study_methods.csv", "method,ra"))
+    assert rows["RA_True"] == repr(truth)
+    assert rows["RA_True-nc"] == repr(ref.ra_true_nc(table, arch.evaluator, arch.sa, uf).ra)
+    assert rows["RA_SW-cA"] == repr(ref.uniform_site_mean(arch.evaluator, table, True))
+
+    out, _ = run("harden", "study", "--study", "harden")
+    want = ref.hardening_study(profile, config, arch.evaluator, arch.sa, uf=uf)
+    rows = read_csv(out / "study_harden.csv", "hardened,ra")
+    assert rows == [[name, repr(float(r.ra))] for name, r in want.items()]
 
 
 @pytest.mark.parametrize("command,args", [

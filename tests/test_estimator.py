@@ -20,9 +20,7 @@ from resacc.estimator import (
     estimate_ra,
     fit_sdc_rates,
     hardening_study,
-    ra_sw_baseline,
     ra_true_nc,
-    uniform_site_mean,
 )
 from resacc.probtransfer import (
     SiteProbabilityTable,
@@ -75,6 +73,7 @@ def test_single_unit_pdf_always_draws_it():
         members=np.array([5]),
         weights=np.array([0.7]),
         site_probs=np.array([0.1]),
+        utilization=np.array([1.0]),
     )
     units, vars_ = pdf.draw_batch(np.random.default_rng(0), 100)
     assert np.all(units == 0) and np.all(vars_ == 2)
@@ -90,6 +89,7 @@ def test_pdf_rejects_bad_weights():
         var_index=np.array([-1]),
         members=np.array([1]),
         site_probs=np.array([0.5]),
+        utilization=np.array([1.0]),
     )
     with pytest.raises(ValueError):
         DiscretePDF(weights=np.array([0.0]), **kw)
@@ -231,10 +231,15 @@ def test_estimator_rejects_batch_below_one(dense_ctx, batch):
 
 
 def test_estimator_uf_needs_sa(dense_ctx):
-    pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
-    with pytest.raises(ValueError):
-        estimate_ra(pdf, dense_ctx.table, lambda s: 1.0, samples=10,
-                    uf=lambda lid: 0.5)
+    """A unit below full utilization weighs SA, so a run without it is refused
+    before any site is asked."""
+    profile = derive_profile(dense_ctx.net, dense_ctx.config, utilization={0: 0.5})
+    table = build_table(profile, dense_ctx.config)
+    pdf = build_pdf(SamplingStrategy.UNIFORM, table, profile)
+    calls = []
+    with pytest.raises(ValueError, match="fault-free accuracy"):
+        estimate_ra(pdf, table, lambda s: calls.append(s) or 1.0, samples=10)
+    assert calls == []
 
 
 def test_coverage_check_rejects_pdf_missing_a_class(dense_ctx):
@@ -249,6 +254,7 @@ def test_coverage_check_rejects_pdf_missing_a_class(dense_ctx):
         members=pdf.members[keep],
         weights=pdf.weights[keep],
         site_probs=pdf.site_probs[keep],
+        utilization=pdf.utilization[keep],
     )
     with pytest.raises(ValueError, match="zero weight"):
         estimate_ra(truncated, dense_ctx.table, lambda s: 1.0, samples=10)
@@ -314,15 +320,6 @@ def test_zero_variance_pdf_contributions_all_equal(dense_ctx, dense_oracle):
 
 
 # --- baselines and studies -------------------------------------------------
-
-def test_sw_baseline_matches_uniform_datapath_mean(dense_ctx, dense_oracle):
-    _, arch = dense_oracle
-    exact = uniform_site_mean(arch.evaluator, dense_ctx.table, include_control=False)
-    est = ra_sw_baseline(arch.evaluator, dense_ctx.table, samples=20_000, seed=3)
-    se = np.sqrt(est.variance / est.samples_drawn)
-    assert abs(est.mean - exact) < 4.0 * se + 1e-12
-    assert np.all((est.contribs >= 0.0) & (est.contribs <= 1.0))
-
 
 def test_nc_baseline_exceeds_true_ra(dense_ctx, dense_oracle):
     res, arch = dense_oracle
@@ -393,9 +390,12 @@ def test_hardening_low_reuse_outputs_gain_less(skew0_ctx, skew0_oracle):
 def test_expected_ra_with_uf_zero_is_sa_on_datapath(dense_ctx, dense_oracle):
     """UF=0 idles every datapath fault; only control mass still hurts."""
     res_full, arch = dense_oracle
-    r0 = ra_expected(dense_ctx.table, arch.evaluator, arch.sa, uf=lambda lid: 0.0)
-    ctl = sum(c.total_prob(dense_ctx.table.bit_width)
-              for c in dense_ctx.table.classes if c.layer_id == CONTROL_LAYER)
+    idle = {layer.layer_id: 0.0 for layer in dense_ctx.profile.layers}
+    profile = derive_profile(dense_ctx.net, dense_ctx.config, utilization=idle)
+    table = build_table(profile, dense_ctx.config)
+    r0 = ra_expected(table, arch.evaluator, arch.sa)
+    ctl = sum(c.total_prob(table.bit_width)
+              for c in table.classes if c.layer_id == CONTROL_LAYER)
     ctl_acc = (r0.components[FFType.CONTROL_GLOBAL]
                + r0.components[FFType.CONTROL_LOCAL])
     assert r0.ra == pytest.approx((1.0 - ctl) * arch.sa + ctl_acc, rel=1e-12)

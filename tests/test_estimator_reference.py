@@ -12,19 +12,16 @@ import reference_estimator as ref
 from resacc.estimator import (
     PoCCriteria,
     SamplingStrategy,
-    _make_pdf,
-    _units_from_table,
     build_pdf,
     build_zero_variance_pdf,
     estimate_ra,
     fit_sdc_rates,
     hardening_study,
-    ra_sw_baseline,
     ra_true_nc,
     uniform_site_mean,
 )
-from resacc.probtransfer import ra_expected, sequential_sum
-from resacc.profile import CONTROL_LAYER, DATAPATH_TYPES, FFType
+from resacc.probtransfer import build_table, ra_expected, sequential_sum
+from resacc.profile import CONTROL_LAYER, FFType, derive_profile
 
 
 class Recorder:
@@ -41,6 +38,16 @@ class Recorder:
 
 def _uf(lid: int) -> float:
     return 0.3 + 0.15 * (lid % 4)
+
+
+def _at_utilization(ctx, uf):
+    """(profile, table, uf for the reference loops) of `ctx`'s net with each
+    layer at utilization uf(layer id); `ctx`'s own, and None, when uf is None."""
+    if uf is None:
+        return ctx.profile, ctx.table, None
+    util = {layer.layer_id: uf(layer.layer_id) for layer in ctx.profile.layers}
+    profile = derive_profile(ctx.net, ctx.config, utilization=util)
+    return profile, build_table(profile, ctx.config), lambda lid: profile.layer(lid).utilization
 
 
 def _bits(x) -> bytes:
@@ -66,10 +73,10 @@ def case(request):
 PDFS = [s.value for s in SamplingStrategy] + ["zero-variance"]
 
 
-def _pdf(name, ctx, arch, uf):
+def _pdf(name, profile, table, arch):
     if name == "zero-variance":
-        return build_zero_variance_pdf(ctx.table, arch.evaluator, arch.sa, uf)
-    return build_pdf(SamplingStrategy(name), ctx.table, ctx.profile, sa=arch.sa)
+        return build_zero_variance_pdf(table, arch.evaluator, arch.sa)
+    return build_pdf(SamplingStrategy(name), table, profile, sa=arch.sa)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "fixed-with-truth", "poc"])
@@ -77,8 +84,9 @@ def _pdf(name, ctx, arch, uf):
 @pytest.mark.parametrize("pdf_name", PDFS)
 def test_estimate_ra_matches_per_sample_loop(case, pdf_name, uf, mode):
     ctx, arch = case
-    pdf = _pdf(pdf_name, ctx, arch, uf)
-    truth = ref.ra_expected(ctx.table, arch.evaluator, arch.sa, uf).ra
+    profile, table, ref_uf = _at_utilization(ctx, uf)
+    pdf = _pdf(pdf_name, profile, table, arch)
+    truth = ref.ra_expected(table, arch.evaluator, arch.sa, ref_uf).ra
     if mode == "poc":
         # batches smaller than the run, so the memo spans batches
         kw = dict(criteria=PoCCriteria(), ground_truth=truth, max_samples=5000, batch=333)
@@ -87,9 +95,9 @@ def test_estimate_ra_matches_per_sample_loop(case, pdf_name, uf, mode):
         if mode == "fixed-with-truth":
             kw["ground_truth"] = truth
     got_ev, want_ev = Recorder(arch.evaluator), Recorder(arch.evaluator)
-    est = estimate_ra(pdf, ctx.table, got_ev, seed=11, sa=arch.sa, uf=uf, **kw)
+    est = estimate_ra(pdf, table, got_ev, seed=11, sa=arch.sa, **kw)
     contribs, trace, poc = ref.estimate_ra(
-        pdf, ctx.table, want_ev, seed=11, sa=arch.sa, uf=uf, **kw
+        pdf, table, want_ev, seed=11, sa=arch.sa, uf=ref_uf, **kw
     )
     assert _bits(est.contribs) == _bits(contribs)
     assert _bits(est.trace) == _bits(trace)
@@ -99,23 +107,13 @@ def test_estimate_ra_matches_per_sample_loop(case, pdf_name, uf, mode):
     assert len(got_ev.calls) == len(set(got_ev.calls)) < est.samples_drawn
 
 
-def test_sw_baseline_matches_per_sample_loop(case):
-    ctx, arch = case
-    got_ev, want_ev = Recorder(arch.evaluator), Recorder(arch.evaluator)
-    est = ra_sw_baseline(got_ev, ctx.table, samples=4000, seed=3)
-    cols = _units_from_table(ctx.table, set(DATAPATH_TYPES))
-    pdf = _make_pdf(cols, np.asarray(cols["members"], dtype=np.float64), exact=True)
-    vals = ref.ra_sw_baseline_values(want_ev, pdf, 4000, 3)
-    assert _bits(est.contribs) == _bits(vals)
-    assert got_ev.calls == want_ev.calls
-
-
 @pytest.mark.parametrize("uf", [None, _uf], ids=["uf1", "uf"])
 def test_ra_expected_matches_site_loop(case, uf):
     ctx, arch = case
+    _, table, ref_uf = _at_utilization(ctx, uf)
     got_ev, want_ev = Recorder(arch.evaluator), Recorder(arch.evaluator)
-    _same_result(ra_expected(ctx.table, got_ev, arch.sa, uf),
-                 ref.ra_expected(ctx.table, want_ev, arch.sa, uf))
+    _same_result(ra_expected(table, got_ev, arch.sa),
+                 ref.ra_expected(table, want_ev, arch.sa, ref_uf))
     assert got_ev.calls == want_ev.calls
 
 
@@ -149,9 +147,10 @@ def test_uniform_site_mean_asks_only_the_included_classes(dense_ctx, dense_oracl
 @pytest.mark.parametrize("uf", [None, _uf], ids=["uf1", "uf"])
 def test_ra_true_nc_matches_site_loop(case, uf):
     ctx, arch = case
+    _, table, ref_uf = _at_utilization(ctx, uf)
     got_ev, want_ev = Recorder(arch.evaluator), Recorder(arch.evaluator)
-    _same_result(ra_true_nc(ctx.table, got_ev, arch.sa, uf),
-                 ref.ra_true_nc(ctx.table, want_ev, arch.sa, uf))
+    _same_result(ra_true_nc(table, got_ev, arch.sa),
+                 ref.ra_true_nc(table, want_ev, arch.sa, ref_uf))
     assert got_ev.calls == want_ev.calls
     assert all(s.var_type is not FFType.CONTROL_GLOBAL for s in got_ev.calls)
 
@@ -167,9 +166,10 @@ def test_fit_sdc_rates_match_site_loop(case, threshold):
 @pytest.mark.parametrize("uf", [None, _uf], ids=["uf1", "uf"])
 def test_hardening_study_matches_per_config_loops(case, uf):
     ctx, arch = case
+    profile, _, ref_uf = _at_utilization(ctx, uf)
     got_ev, want_ev = Recorder(arch.evaluator), Recorder(arch.evaluator)
-    got = hardening_study(ctx.profile, ctx.config, got_ev, arch.sa, uf=uf)
-    want = ref.hardening_study(ctx.profile, ctx.config, want_ev, arch.sa, uf=uf)
+    got = hardening_study(profile, ctx.config, got_ev, arch.sa)
+    want = ref.hardening_study(profile, ctx.config, want_ev, arch.sa, uf=ref_uf)
     assert list(got) == list(want)
     for name in want:
         _same_result(got[name], want[name])
@@ -181,8 +181,9 @@ def test_hardening_study_matches_per_config_loops(case, uf):
 @pytest.mark.parametrize("uf", [None, _uf], ids=["uf1", "uf"])
 def test_zero_variance_pdf_matches_site_loop(case, uf):
     ctx, arch = case
-    pdf = build_zero_variance_pdf(ctx.table, arch.evaluator, arch.sa, uf)
-    units = ref.zero_variance_units(ctx.table, arch.evaluator, arch.sa, uf)
+    _, table, ref_uf = _at_utilization(ctx, uf)
+    pdf = build_zero_variance_pdf(table, arch.evaluator, arch.sa)
+    units = ref.zero_variance_units(table, arch.evaluator, arch.sa, ref_uf)
     cols = np.array([u[:4] for u in units], dtype=np.int64)
     assert np.array_equal(pdf.layer_ids, cols[:, 0])
     assert np.array_equal(pdf.type_codes, cols[:, 1])

@@ -68,12 +68,13 @@ def test_exhaustive_ra_is_bit_exact_to_ra_expected_over_the_archive(toy, with_uf
     """The oracle's RA, summed over its own arrays, is the RA `ra_expected`
     gives by asking the archive one site at a time, to the last bit."""
     make = {"dense": lambda: make_dense_toy(seed=3), "pool": make_pool_toy}[toy]
-    ctx = build_context(make(), make_config())
-    # uf leaves the last layer out, so it also takes the 1.0 default.
-    util = {layer.layer_id: 0.3 + 0.2 * i for i, layer in enumerate(ctx.profile.layers[:-1])}
-    uf = (lambda lid: util.get(lid, 1.0)) if with_uf else None
-    res, arch = exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset, uf=uf)
-    want = ra_expected(ctx.table, arch.evaluator, arch.sa, uf)
+    net, config = make(), make_config()
+    # The map leaves the last layer out, so it also takes the 1.0 default.
+    layers = derive_profile(net, config).layers[:-1]
+    util = {layer.layer_id: 0.3 + 0.2 * i for i, layer in enumerate(layers)}
+    ctx = build_context(net, config, utilization=util if with_uf else None)
+    res, arch = exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset)
+    want = ra_expected(ctx.table, arch.evaluator, arch.sa)
     assert res.ra == want.ra
     assert res.components == want.components
     assert res.sa == want.sa == arch.sa
@@ -87,10 +88,10 @@ def test_crash_classes_archived_as_zero(dense_oracle):
 def test_single_site_ra_identity():
     """A one-site system reduces RA to UF * A + (1 - UF) * SA exactly."""
     table = SiteProbabilityTable(
-        classes=[ProbClass(0, FFType.INPUT_ACTIVATION, 1, 1.0)],
+        classes=[ProbClass(0, FFType.INPUT_ACTIVATION, 1, 1.0, utilization=0.3)],
         bit_width=1,
     )
-    res = ra_expected(table, lambda s: 0.2, sa=1.0, uf=lambda lid: 0.3)
+    res = ra_expected(table, lambda s: 0.2, sa=1.0)
     assert res.ra == pytest.approx(0.3 * 0.2 + 0.7 * 1.0, rel=1e-15)
 
 
@@ -300,21 +301,16 @@ def test_partial_utilization_shifts_mass_and_uf_closes_gap():
 
 
 def test_grid_utilization_matches_exhaustive_uf_ra(dense_oracle):
-    """UF-weighted expected RA from the analytical path agrees with feeding
-    the same UF map to the exhaustive oracle."""
-    _, arch = dense_oracle
+    """UF-weighted expected RA from the analytical path agrees with the
+    exhaustive oracle on a profile of the same utilization, and lies above
+    the RA of the fully utilized profile."""
+    full, arch = dense_oracle
     ctx = build_context(make_dense_toy(seed=3), make_config(),
                         utilization={0: 0.7, 1: 0.9})
-    res, _ = exhaustive_ra(
-        ctx.profile, ctx.config, ctx.net, ctx.evalset,
-        FaultSemantics.TRUE, uf=lambda lid: {0: 0.7, 1: 0.9}.get(lid, 1.0),
-    )
-    manual = ra_expected(
-        ctx.table, arch.evaluator, arch.sa,
-        uf=lambda lid: {0: 0.7, 1: 0.9}.get(lid, 1.0),
-    )
+    res, _ = exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset, FaultSemantics.TRUE)
+    manual = ra_expected(ctx.table, arch.evaluator, arch.sa)
     assert res.ra == pytest.approx(manual.ra, rel=1e-12)
-    assert res.ra > ra_expected(ctx.table, arch.evaluator, arch.sa).ra
+    assert res.ra > full.ra
 
 
 # --- archive reads ------------------------------------------------------------

@@ -283,11 +283,11 @@ class TestRAExpected:
         assert res.ra == pytest.approx(0.9)
 
     def test_uf_zero_gives_sa(self):
-        config = make_config()
-        prof = derive_profile(make_dense_toy(), config)
-        # only datapath classes see UF; drop control so UF=0 covers everything
+        config, net = make_config(), make_dense_toy()
+        layers = derive_profile(net, config).layers
+        prof = derive_profile(net, config, utilization={l.layer_id: 0.0 for l in layers})
         table = build_table(prof, config)
-        res = ra_expected(table, lambda s: 0.0, sa=0.875, uf=lambda lid: 0.0)
+        res = ra_expected(table, lambda s: 0.0, sa=0.875)
         control_mass = sum(
             c.total_prob(table.bit_width)
             for c in table.classes if c.layer_id == CONTROL_LAYER
