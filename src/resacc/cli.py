@@ -230,8 +230,10 @@ def _hash_for(args, need_evalset: bool) -> str:
     paths = [Path(args.config), Path(args.network)]
     if need_evalset:
         paths.append(Path(args.evalset))
+    # The input files count by their bytes, not by the paths that name them.
     extra = repr(sorted(
-        (k, v) for k, v in vars(args).items() if k not in ("func", "out")
+        (k, v) for k, v in vars(args).items()
+        if k not in ("func", "out", "config", "network", "evalset")
     ))
     return _spec_hash(paths, extra)
 
@@ -388,7 +390,7 @@ def cmd_oracle(args, out: RunOutputs) -> int:
     out.out_dir.mkdir(parents=True, exist_ok=True)
     archive.save(out.out_dir / "archive.npz")
     out.track(out.out_dir / "archive.npz")
-    print(f"exhaustive ra={float(result.ra)!r} sa={float(result.sa)!r}")
+    print(f"exhaustive ra={result.ra!r} sa={result.sa!r}")
     return EXIT_OK
 
 

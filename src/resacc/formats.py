@@ -57,9 +57,15 @@ def flip_bits(values, bits, fmt: NumericFormat) -> np.ndarray:
     The result may be Inf/NaN for float formats; it propagates through
     subsequent arithmetic under the usual IEEE rules.
     """
+    v = np.asarray(values, dtype=fmt.dtype)
+    if len(bits) == 1:
+        # One bit, as a live call flips: one scalar mask, no mask array.
+        (b,) = bits
+        if not 0 <= b < fmt.width:
+            raise ValueError(f"bit position {b} out of range for {fmt.value}")
+        return (v.view(fmt.bits_dtype) ^ fmt.bits_dtype.type(1 << b))[None].view(fmt.dtype)
     if bits and not (0 <= min(bits) and max(bits) < fmt.width):
         raise ValueError(f"bit positions {bits} out of range for {fmt.value}")
-    v = np.asarray(values, dtype=fmt.dtype)
     masks = np.array([1 << b for b in bits], dtype=fmt.bits_dtype)
     return (v.view(fmt.bits_dtype) ^ masks.reshape((-1,) + (1,) * v.ndim)).view(fmt.dtype)
 

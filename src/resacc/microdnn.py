@@ -41,11 +41,13 @@ built dense and run on to the argmax in one loop
 (:func:`_frontier_predictions`); the rest take the clean prediction. A
 chunk of several variables finds those live rows by one float32 product of
 a one-hot (variable, entry) matrix and the entries' differing values
-(:func:`_live_rows`). Before each later conv and FC layer of that loop, the
-rows whose bits equal the layer's cached clean input are dropped too.
-Local-control variables are grouped by the layer their hashed weight lands
-in. A chunk holds as many variables as keep its rows within BATCH_BYTES in
-float64, each row sized by the most elements it holds at once
+(:func:`_live_rows`). That is the one filter: few live rows turn clean
+again before a later conv or FC layer (on the benchmark's LeNet-5, 56 of
+2,517 before FC1 over the sites an importance-sampled run draws), and
+every kernel treats batch items alone, so carrying them on changes no
+result. Local-control variables are grouped by the layer their hashed
+weight lands in. A chunk holds as many variables as keep its rows within
+BATCH_BYTES in float64, each row sized by the most elements it holds at once
 (:func:`_row_width`): the widest activation from the first conv, FC or
 softmax layer after the faulted one on, the variable's frontier before
 that, or the terms of one recomputed element, whichever is largest. The
@@ -521,6 +523,7 @@ def _faulty_outputs(
     else:
         w = w64.reshape(len(w64), -1)
         xt = rf.clean[:, cols]
+        pads = getattr(layer, "pad", 0) > 0
 
         def recompute(sel):
             reads, wk = rf.reads[u[sel]].T, w[o[sel]].T  # (K, E)
@@ -531,7 +534,8 @@ def _faulty_outputs(
                 # padding it is zeroed, so the product is the 0.0 stored
                 # there, not NaN. (E, F)
                 w_hit = wf[:, owner[sel]].T
-                w_hit[reads[at] >= len(rf.count)] = 0.0
+                if pads:
+                    w_hit[reads[at] >= len(rf.count)] = 0.0
                 faulty = w_hit[:, :, None] * xs[at][:, None, :]
             else:
                 faulty = xf64[owner[sel]] * wk[at][:, None, None]
@@ -542,6 +546,10 @@ def _faulty_outputs(
     # alone, so chunking changes no result.
     per_elem = n_slots if w64 is None else n_slots + 1
     step = max(1, BATCH_BYTES // (8 * n * n_bits * per_elem))
+    # A lone chunk is returned as cast; no elements make no recompute call
+    # (dot_sequential takes the least hit position).
+    if 0 < len(elems) <= step:
+        return owner, elems, _cast(recompute(slice(None)), fmt)
     vals = np.empty((len(elems), n_bits, n), dtype=clean.dtype)
     for j in range(0, len(elems), step):
         vals[j : j + step] = _cast(recompute(slice(j, j + step)), fmt)
@@ -724,11 +732,9 @@ def _frontier_predictions(
     or softmax layer, or the end of the net, the rows whose values differ
     in bits from the clean ones are built dense, each a clean input with
     the frontier scattered in, and run on to the argmax; the others take
-    the clean prediction. Before each later conv and FC layer, the rows
-    whose bits equal that layer's clean input are dropped the same way:
-    ReLU and max-pooling mask many faults. Comparing bits, not values,
-    keeps every row with a NaN or a zero of the other sign. Every kernel
-    treats batch items alone, so dropping rows changes no result.
+    the clean prediction. Comparing bits, not values, keeps every row with
+    a NaN or a zero of the other sign. Every kernel treats batch items
+    alone, so which rows run changes no result.
     """
     fmt = net.numeric_format
     while i < len(net.layers) and not isinstance(net.layers[i], (Conv2D, FC, Softmax)):
@@ -746,11 +752,10 @@ def _frontier_predictions(
     preds[...] = cache.preds[cols]
     if not len(live):
         return preds
-    inputs = live % n  # the input of each live row, within cols
     if n_vars == 1:
         # Every entry is in every row: each live row is its clean input with
         # the entries' values for its bit and input scattered in.
-        a = clean.take(inputs, axis=0)
+        a = clean.take(live % n, axis=0)
         a[:, pos] = vals.reshape(len(pos), -1)[:, live].T
     else:
         # Scattering one (F, n) block per entry into a copy of every row and
@@ -760,17 +765,8 @@ def _frontier_predictions(
         a[owner, :, :, pos] = vals
         a = a.reshape(-1, clean.shape[1]).take(live, axis=0)
     a = a.reshape((-1,) + x.shape[1:])
-    inputs += cols.start
     for j in range(i, len(net.layers)):
-        layer = net.layers[j]
-        if j > i and isinstance(layer, (Conv2D, FC)):
-            differ = a.view(b) != cache.acts[j].take(inputs, axis=0).view(b)
-            keep = np.logical_or.reduce(differ.reshape(len(a), -1), axis=1).nonzero()[0]
-            if not len(keep):
-                return preds
-            if len(keep) < len(a):
-                a, live, inputs = a.take(keep, axis=0), live[keep], inputs[keep]
-        a = _apply_layer(layer, a, fmt, cache.weights64[j])
+        a = _apply_layer(net.layers[j], a, fmt, cache.weights64[j])
     preds.put(live, _predict(a))
     return preds
 
@@ -796,7 +792,10 @@ def faulty_predictions(
     vs = [fault.site.var_index] if var_indices is None else var_indices
     preds = np.empty((len(vs), len(bits), len(cache.acts[0])), dtype=np.intp)
     for pos, p in prediction_batches(net, fault, profile, cache, bits, vs):
-        preds[pos] = p
+        if len(pos) == len(vs):
+            preds = p  # one batch of every variable, as a live call makes
+        else:
+            preds[pos] = p
     return preds[0] if var_indices is None else preds
 
 
@@ -957,4 +956,4 @@ def accuracy(
     else:
         cache = ActivationCache(net, evalset) if cache is None else cache
         preds = faulty_predictions(net, fault, profile, cache, [fault.site.bit_pos])
-    return np.count_nonzero(preds == evalset.labels) / evalset.size
+    return float(np.count_nonzero(preds == evalset.labels) / evalset.size)

@@ -146,7 +146,7 @@ def evaluate_classes(
             f"budget of {max_inferences} inferences"
         )
     cache = ActivationCache(net, evalset)
-    sa = np.count_nonzero(cache.preds == evalset.labels) / evalset.size
+    sa = float(np.count_nonzero(cache.preds == evalset.labels) / evalset.size)
     entries = {
         (c.layer_id, c.var_type): np.zeros((c.var_count, bit_width), dtype=np.float64)
         for c in classes

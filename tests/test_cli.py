@@ -172,6 +172,27 @@ def test_estimate_rerun_is_byte_identical(cli_inputs, tmp_path):
     assert _tree_bytes(a) == _tree_bytes(b)
 
 
+def test_outputs_do_not_depend_on_where_the_inputs_are(cli_inputs, tmp_path, monkeypatch):
+    """Copies of the inputs in two directories, one named by a relative
+    path, give the same bytes: the spec hash takes the inputs' contents,
+    not their paths."""
+    trees = []
+    for name in ("first", "second"):
+        d = tmp_path / name
+        d.mkdir()
+        for v in cli_inputs.values():
+            (d / Path(v).name).write_bytes(Path(v).read_bytes())
+        if name == "second":
+            monkeypatch.chdir(tmp_path)
+            d = d.relative_to(tmp_path)
+        inp = {k: str(d / Path(v).name) for k, v in cli_inputs.items()}
+        out = tmp_path / f"out_{name}"
+        assert main(["estimate"] + _with_eval(inp, out)
+                    + ["--strategy", "uniform", "--samples", "50", "--seed", "1"]) == EXIT_OK
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1] and trees[0]
+
+
 def test_estimate_poc_reports_convergence_point(cli_inputs, tmp_path):
     rc = main(["estimate"] + _with_eval(cli_inputs, tmp_path)
               + ["--strategy", "is", "--poc", "--seed", "1"])

@@ -1,5 +1,7 @@
 """Numeric-format and bit-flip behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,22 @@ def test_flip_bits_equals_one_flip_per_bit(fmt):
     for bad in ([fmt.width], [0, -1]):
         with pytest.raises(ValueError):
             flip_bits(values, bad, fmt)
+
+
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda f: f.name)
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5), (0,), (2, 0)], ids=str)
+def test_one_bit_flip_equals_that_bit_of_a_multi_bit_flip(fmt, shape):
+    """The one-bit path (a live call's) gives, for every bit, the patterns
+    of the same bit taken from a call over every bit, with its shape."""
+    values = _random_values(fmt, math.prod(shape), seed=len(shape)).reshape(shape)
+    every = flip_bits(values, list(range(fmt.width)), fmt)
+    for bit in range(fmt.width):
+        got = flip_bits(values, [bit], fmt)
+        assert got.dtype == fmt.dtype and got.shape == (1,) + shape
+        assert np.array_equal(got.view(fmt.bits_dtype), every[bit : bit + 1].view(fmt.bits_dtype))
+    for bad in (-1, fmt.width):
+        with pytest.raises(ValueError):
+            flip_bits(values, [bad], fmt)
 
 
 def test_bit_pos_out_of_range():

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from resacc.estimator import hardening_study
 from resacc.formats import NumericFormat
-from resacc.microdnn import FaultSemantics
+from resacc.microdnn import FaultSemantics, accuracy
 from resacc.oracle import (
     GridModel,
     ScaleGuardExceeded,
@@ -60,6 +61,24 @@ def test_exhaustive_ra_equals_archive_weighted_sum(dense_ctx, dense_oracle):
         total += c.per_var_per_bit_prob * arr.sum()
     assert res.ra == pytest.approx(total, rel=1e-12)
     assert res.sa == arch.sa
+
+
+def test_accuracies_reach_library_callers_as_python_floats(dense_ctx, dense_oracle):
+    """SA, A(j) of a live call and the RAs of the oracle and of the
+    hardening study are ``float``, as annotated, not numpy scalars."""
+    res, arch = dense_oracle
+    site = SoftwareFaultSite(dense_ctx.table.classes[0].layer_id,
+                             dense_ctx.table.classes[0].var_type, 0, 30)
+    live = live_evaluator(dense_ctx.net, dense_ctx.evalset, dense_ctx.profile, dense_ctx.config)
+    study = hardening_study(dense_ctx.profile, dense_ctx.config, arch.evaluator, arch.sa)
+    values = {
+        "accuracy": accuracy(dense_ctx.net, dense_ctx.evalset),
+        "live A(j)": live(site),
+        "archive sa": arch.sa,
+        "exhaustive sa": res.sa,
+        "exhaustive ra": res.ra,
+    } | {f"hardening {k} ra": r.ra for k, r in study.items()}
+    assert {k: type(v) for k, v in values.items() if type(v) is not float} == {}
 
 
 @pytest.mark.parametrize("with_uf", [False, True], ids=["uf_none", "uf"])
