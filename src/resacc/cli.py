@@ -4,7 +4,7 @@ Subcommands: profile, probs, estimate, compare, oracle, gridsim, study.
 Every output CSV opens with a comment line carrying a schema tag, the hash
 of the run inputs, and the seed, so identical runs produce byte-identical
 files. Exit codes: 0 success, 1 usage error, 2 validation failure, 3 scale
-guard exceeded.
+guard exceeded or memory exhausted.
 
 ``compare`` is ``estimate --poc`` over lists of strategies and seeds, plus
 median rows, through one driver. ``study`` runs the TRUE oracle once;
@@ -298,7 +298,10 @@ def _at_least_one(**counts) -> None:
             raise ValidationError(f"{name} = {count} must be at least 1")
 
 
-def _distinct(option: str, values: list) -> None:
+def _distinct(option: str, noun: str, values: list) -> None:
+    """Refuse a list option that names nothing or an item twice."""
+    if not values:
+        raise UsageError(f"{option} must name at least one {noun}")
     repeated = sorted({str(v) for v in values if values.count(v) > 1})
     if repeated:
         raise UsageError(f"{option} repeats {','.join(repeated)}")
@@ -357,15 +360,12 @@ def cmd_estimate(args, out: RunOutputs) -> int:
 
 
 def cmd_compare(args, out: RunOutputs) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s != ""]
-    if not seeds:
-        raise UsageError("--seeds must name at least one seed")
-    strategies = [SamplingStrategy(s) for s in args.strategies.split(",")]
     # A repeat would overwrite its own trace and count twice in the medians.
-    _distinct("--seeds", seeds)
-    _distinct("--strategies", [s.value for s in strategies])
-    truth, _ = _estimate(args, out, strategies, seeds, medians=True)
-    print(f"exhaustive ra={truth!r}; wrote {len(strategies) * len(seeds)} traces")
+    _distinct("--seeds", "seed", args.seeds)
+    _distinct("--strategies", "strategy", args.strategies)
+    strategies = [SamplingStrategy(s) for s in args.strategies]
+    truth, _ = _estimate(args, out, strategies, args.seeds, medians=True)
+    print(f"exhaustive ra={truth!r}; wrote {len(strategies) * len(args.seeds)} traces")
     return EXIT_OK
 
 
@@ -447,13 +447,34 @@ def cmd_study(args, out: RunOutputs) -> int:
 
 # --- argument wiring -------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A seed as numpy's generators take it: an integer >= 0."""
+    if text.strip().isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid seed {text!r}: must be an integer >= 0")
+
+
+def _strategy(text: str) -> str:
+    """A strategy name, refused with the message argparse gives `--strategy`."""
+    choices = [s.value for s in SamplingStrategy]
+    if text in choices:
+        return text
+    listed = ", ".join(map(repr, choices))
+    raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {listed})")
+
+
+def _items(parse):
+    """Parser type of a comma-separated list, each nonempty item read by `parse`."""
+    return lambda text: [parse(item) for item in text.split(",") if item]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="resacc", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="accelerator config text file")
     common.add_argument("--network", required=True, help="network weights container")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--utilization", default=None,
                         help="per-layer utilization overrides, e.g. 0=0.7,2=0.9")
     common.add_argument("--harden", default=None, choices=[t.value for t in FFType],
@@ -480,16 +501,14 @@ def _build_parser() -> _Parser:
     est.add_argument("--threshold", type=float, default=0.003,
                      help="relative mean tolerance for convergence")
     est.add_argument("--max-samples", type=int, default=200_000, dest="max_samples")
-    # `uf` is no option; it stays in the spec hash, so that runs without
-    # --utilization keep the output bytes of earlier versions.
-    est.set_defaults(func=cmd_estimate, uf="one")
+    est.set_defaults(func=cmd_estimate)
 
     cmp_ = sub.add_parser("compare", parents=[common, evalc, semc])
-    cmp_.add_argument("--strategies", default="uniform,mac,is,is-b")
-    cmp_.add_argument("--seeds", default="0,1,2")
+    cmp_.add_argument("--strategies", type=_items(_strategy), default="uniform,mac,is,is-b")
+    cmp_.add_argument("--seeds", type=_items(_seed), default="0,1,2")
     cmp_.add_argument("--threshold", type=float, default=0.003)
     cmp_.add_argument("--max-samples", type=int, default=200_000, dest="max_samples")
-    cmp_.set_defaults(func=cmd_compare, poc=True, samples=None, uf="one")
+    cmp_.set_defaults(func=cmd_compare, poc=True, samples=None)
 
     orc = sub.add_parser("oracle", parents=[common, evalc, semc])
     orc.add_argument("--max-inferences", type=int, default=10**6, dest="max_inferences")
@@ -520,9 +539,10 @@ def main(argv=None) -> int:
         out.discard_all()
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except ScaleGuardExceeded as e:
+    except (ScaleGuardExceeded, MemoryError) as e:
+        # a sample budget or archive too large to allocate
         out.discard_all()
-        print(f"scale guard: {e}", file=sys.stderr)
+        print(f"scale guard: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_SCALE
     except (ValidationError, ValueError) as e:
         out.discard_all()

@@ -41,6 +41,7 @@ import numpy as np
 from .formats import NumericFormat, default_bp_drop
 from .probtransfer import (
     Evaluator,
+    ProbClass,
     RAResult,
     SiteProbabilityTable,
     build_table,
@@ -52,7 +53,6 @@ from .probtransfer import (
 )
 from .profile import (
     CONTROL_LAYER,
-    DATAPATH_TYPES,
     AcceleratorConfig,
     FFType,
     NetworkProfile,
@@ -146,32 +146,20 @@ class DiscretePDF:
         )
 
 
-def _units_from_table(table: SiteProbabilityTable, include_types) -> dict[str, list]:
-    cols = {"layer": [], "type": [], "bit": [], "members": [], "p": [], "u": []}
-    for c in table.classes:
-        if c.var_type not in include_types:
-            continue
-        for b in range(table.bit_width):
-            cols["layer"].append(c.layer_id)
-            cols["type"].append(_FFTYPES.index(c.var_type))
-            cols["bit"].append(b)
-            cols["members"].append(c.var_count)
-            cols["p"].append(c.per_var_per_bit_prob)
-            cols["u"].append(c.utilization)
-    return cols
+def _unit_columns(classes: list[ProbClass], bit_width: int) -> dict[str, np.ndarray]:
+    """`DiscretePDF` columns of the (class, bit) units of `classes`, class-major
+    and bit-minor, each uniform over its class's variables."""
+    def per_class(values, dtype):
+        return np.repeat(np.asarray(values, dtype=dtype), bit_width)
 
-
-def _make_pdf(cols, weights, exact=False) -> DiscretePDF:
-    return DiscretePDF(
-        layer_ids=np.asarray(cols["layer"], dtype=np.int64),
-        type_codes=np.asarray(cols["type"], dtype=np.int64),
-        bit_pos=np.asarray(cols["bit"], dtype=np.int64),
-        var_index=np.asarray(cols.get("var", [-1] * len(cols["layer"])), dtype=np.int64),
-        members=np.asarray(cols["members"], dtype=np.int64),
-        weights=np.asarray(weights, dtype=np.float64),
-        site_probs=np.asarray(cols["p"], dtype=np.float64),
-        utilization=np.asarray(cols["u"], dtype=np.float64),
-        exact_integrand=exact,
+    return dict(
+        layer_ids=per_class([c.layer_id for c in classes], np.int64),
+        type_codes=per_class([_FFTYPES.index(c.var_type) for c in classes], np.int64),
+        bit_pos=np.tile(np.arange(bit_width, dtype=np.int64), len(classes)),
+        var_index=np.full(len(classes) * bit_width, -1, dtype=np.int64),
+        members=per_class([c.var_count for c in classes], np.int64),
+        site_probs=per_class([c.per_var_per_bit_prob for c in classes], np.float64),
+        utilization=per_class([c.utilization for c in classes], np.float64),
     )
 
 
@@ -180,90 +168,77 @@ def build_pdf(
     table: SiteProbabilityTable,
     profile: NetworkProfile,
     sa: float | None = None,
-    bp_model: dict[int, float] | None = None,
 ) -> DiscretePDF:
-    """Construct the sampling PDF for one strategy.
+    """Construct the sampling PDF for one strategy over the table's (class,
+    bit) units.
 
     MacWeighted covers local-control sites via the average per-weight MAC
     count of the datapath variable they corrupt, and skips global-control
     sites (their integrand is exactly zero: a crash has accuracy 0). The
-    other strategies cover every site. ImportanceBP raises a ValueError when
-    SA is at most a bit's assumed drop, which would give that bit's
-    non-crash sites of nonzero p(j) no weight.
+    other strategies cover every site. ImportanceBP weights each bit by the
+    format's `default_bp_drop` prior and raises a ValueError when SA is at
+    most a bit's assumed drop, which would give that bit's non-crash sites
+    of nonzero p(j) no weight.
     """
-    if strategy in (SamplingStrategy.UNIFORM, SamplingStrategy.IMPORTANCE):
-        cols = _units_from_table(table, set(FFType))
-        if strategy is SamplingStrategy.UNIFORM:
-            weights = np.asarray(cols["members"], dtype=np.float64)
-        else:
-            weights = np.asarray(cols["p"]) * np.asarray(cols["members"], dtype=np.float64)
-        return _make_pdf(cols, weights)
-    if strategy is SamplingStrategy.IMPORTANCE_BP:
+    classes = table.classes
+    if strategy is SamplingStrategy.MAC_WEIGHTED:
+        classes = [c for c in classes if c.var_type is not FFType.CONTROL_GLOBAL]
+    cols = _unit_columns(classes, table.bit_width)
+    members = cols["members"].astype(np.float64)
+    if strategy is SamplingStrategy.UNIFORM:
+        weights = members
+    elif strategy is SamplingStrategy.IMPORTANCE:
+        weights = cols["site_probs"] * members
+    elif strategy is SamplingStrategy.MAC_WEIGHTED:
+        n_weights = sum(l.var_count.get(FFType.WEIGHT, 0) for l in profile.layers)
+        local = (profile.total_macs / max(n_weights, 1)
+                 * profile.control_var_count.get(FFType.CONTROL_LOCAL, 1))
+        weights = np.repeat([local if c.var_type is FFType.CONTROL_LOCAL
+                             else float(profile.layer(c.layer_id).mac_count)
+                             for c in classes], table.bit_width)
+    else:  # ImportanceBP
         if sa is None:
             raise ValueError("ImportanceBP needs the fault-free accuracy")
-        drops = bp_model if bp_model is not None else default_bp_drop_for(table)
-        cols = _units_from_table(table, set(FFType))
-        ahat = np.asarray([max(0.0, sa - drops.get(b, 0.0)) for b in cols["bit"]])
+        fmt = next((f for f in NumericFormat if f.width == table.bit_width), None)
+        if fmt is None:
+            raise ValueError(f"no numeric format is {table.bit_width} bits wide")
+        drops = default_bp_drop(fmt)
+        ahat = np.tile([max(0.0, sa - drops.get(b, 0.0)) for b in range(table.bit_width)],
+                       len(classes))
         # A unit the prior gives no accuracy would never be drawn, though
         # its sites' p(j) * A(j) need not be 0: only a crash's is.
-        p = np.asarray(cols["p"])
-        crash = np.asarray(cols["type"]) == _FFTYPES.index(FFType.CONTROL_GLOBAL)
+        p = cols["site_probs"]
+        crash = cols["type_codes"] == _FFTYPES.index(FFType.CONTROL_GLOBAL)
         lost = (ahat == 0.0) & (p > 0.0) & ~crash
         if lost.any():
-            bits = np.unique(np.asarray(cols["bit"])[lost]).tolist()
+            bits = np.unique(cols["bit_pos"][lost]).tolist()
             raise ValueError(
                 f"is-b: SA {float(sa)!r} is at most the assumed accuracy drop of bits {bits}, "
                 f"so their sites would never be drawn"
             )
-        weights = p * np.asarray(cols["members"], dtype=np.float64) * ahat
-        return _make_pdf(cols, weights)
-    assert strategy is SamplingStrategy.MAC_WEIGHTED
-    include = set(DATAPATH_TYPES) | {FFType.CONTROL_LOCAL}
-    cols = _units_from_table(table, include)
-    total_macs = profile.total_macs
-    n_weights = sum(l.var_count.get(FFType.WEIGHT, 0) for l in profile.layers)
-    weights = []
-    for lid, tcode in zip(cols["layer"], cols["type"]):
-        t = _FFTYPES[tcode]
-        if t is FFType.CONTROL_LOCAL:
-            per_var = total_macs / max(n_weights, 1)
-            weights.append(per_var * profile.control_var_count.get(t, 1))
-        else:
-            weights.append(float(profile.layer(lid).mac_count))
-    return _make_pdf(cols, weights)
-
-
-def default_bp_drop_for(table: SiteProbabilityTable) -> dict[int, float]:
-    """`default_bp_drop` of the numeric format as wide as `table`'s bits."""
-    for fmt in NumericFormat:
-        if fmt.width == table.bit_width:
-            return default_bp_drop(fmt)
-    raise ValueError(f"no numeric format is {table.bit_width} bits wide")
+        weights = p * members * ahat
+    return DiscretePDF(**cols, weights=weights)
 
 
 def build_zero_variance_pdf(
     table: SiteProbabilityTable, evaluator: Evaluator, sa: float
 ) -> DiscretePDF:
     """PDF exactly proportional to the integrand, from oracle-supplied
-    accuracies: one unit per site, weight `ra_integrand`. With this PDF every
-    sample contributes the same value (the estimator variance is zero)."""
-    cols: dict[str, list] = {k: [] for k in ("layer", "type", "bit", "members", "p", "u", "var")}
-    weights = []
-    accs = class_accuracies(table.classes, table.bit_width, evaluator)
-    for c, a in zip(table.classes, accs):
+    accuracies: one unit per site of positive integrand, in (class, var,
+    bit) order, weight `ra_integrand`. Each takes its (class, bit) unit's
+    columns, with `members` 1 and its var in `var_index`. With this PDF
+    every sample contributes the same value (the estimator variance is zero)."""
+    bw = table.bit_width
+    parts = []
+    accs = class_accuracies(table.classes, bw, evaluator)
+    for k, (c, a) in enumerate(zip(table.classes, accs)):
         f = ra_integrand(c.per_var_per_bit_prob, c.utilization, a, sa)
         vars_, bits = np.nonzero(~(f <= 0.0))  # var-major, as the sites run
-        n = len(vars_)
-        cols["layer"].append(np.full(n, c.layer_id))
-        cols["type"].append(np.full(n, _FFTYPES.index(c.var_type)))
-        cols["bit"].append(bits)
-        cols["members"].append(np.ones(n, dtype=np.int64))
-        cols["p"].append(np.full(n, c.per_var_per_bit_prob))
-        cols["u"].append(np.full(n, c.utilization))
-        cols["var"].append(vars_)
-        weights.append(f[vars_, bits])
-    cols = {k: np.concatenate(v) for k, v in cols.items()}
-    return _make_pdf(cols, np.concatenate(weights), exact=True)
+        parts.append((k * bw + bits, vars_, f[vars_, bits]))
+    unit, var, weights = (np.concatenate(x) for x in zip(*parts))
+    cols = {name: col[unit] for name, col in _unit_columns(table.classes, bw).items()}
+    cols.update(var_index=var, members=np.ones_like(var))
+    return DiscretePDF(**cols, weights=weights, exact_integrand=True)
 
 
 @dataclass

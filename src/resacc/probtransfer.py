@@ -53,31 +53,6 @@ def fit_normalization(config: AcceleratorConfig) -> float:
     return total
 
 
-def occupied_mass(profile: NetworkProfile, config: AcceleratorConfig) -> float:
-    """Fraction of the raw probability mass landing on cells that hold a real
-    software variable.
-
-    Layers without weights (pooling, activation-only) leave their share of the
-    weight-FF cells unoccupied; a fault there hits nothing. Probabilities are
-    conditioned on hitting an occupied site, so this is the normalizer that
-    keeps the site probabilities summing to 1. It equals 1 exactly when every
-    layer populates every datapath FF type.
-    """
-    norm = fit_normalization(config)
-    mass = 0.0
-    for layer in profile.layers:
-        lp = layer.mac_count / profile.total_macs
-        for t in DATAPATH_TYPES:
-            if layer.var_count.get(t, 0) >= 1:
-                mass += lp * type_prob(config, t) * config.raw_fit.get(t, 0.0) / norm
-    for t in CONTROL_TYPES:
-        if profile.control_var_count.get(t, 0) >= 1:
-            mass += type_prob(config, t) * config.raw_fit.get(t, 0.0) / norm
-    if mass <= 0.0:
-        raise ValueError("no occupied fault sites")
-    return mass
-
-
 @dataclass(frozen=True)
 class ProbClass:
     """One (layer, type) equivalence class of sites sharing a probability,
@@ -107,28 +82,38 @@ class SiteProbabilityTable:
 
 
 def build_table(profile: NetworkProfile, config: AcceleratorConfig) -> SiteProbabilityTable:
-    """Closed-form per-(layer, type) probabilities; sums to 1 over all sites."""
-    norm = fit_normalization(config) * occupied_mass(profile, config)
-    classes: list[ProbClass] = []
-    for layer in profile.layers:
-        lp = layer.mac_count / profile.total_macs
-        for t in DATAPATH_TYPES:
-            n = layer.var_count.get(t, 0)
-            if n < 1:
-                continue
-            w = config.raw_fit.get(t, 0.0)
-            p = lp * type_prob(config, t) * w / (n * norm * config.bit_width)
-            classes.append(ProbClass(layer.layer_id, t, n, p, layer.utilization))
-    for t in CONTROL_TYPES:
-        n = profile.control_var_count.get(t, 0)
-        if n < 1:
-            continue
-        w = config.raw_fit.get(t, 0.0)
-        p = type_prob(config, t) * w / (n * norm * config.bit_width)
-        classes.append(ProbClass(CONTROL_LAYER, t, n, p))
-    if not classes:
-        raise ValueError("profile yields no fault-site classes")
-    table = SiteProbabilityTable(classes=classes, bit_width=config.bit_width)
+    """Closed-form per-(layer, type) probabilities; sums to 1 over all sites.
+
+    A class's raw mass is lp * TP(t) * rawFIT(t): its layer's share lp of
+    the MACs (control classes span the whole run) times its type's share of
+    the FFs, weighted by the type's raw FIT rate. Layers without weights
+    (pooling, activation-only) leave their share of the weight-FF cells
+    unoccupied, and a fault on an unoccupied cell hits nothing, so the
+    probabilities are conditioned on an occupied cell: each mass is divided
+    by `fit_normalization` times the occupied mass, the sum over classes of
+    mass / `fit_normalization` (1 exactly when every layer populates every
+    datapath FF type), and shared by the class's var_count * bit_width sites.
+    """
+    fit_norm = fit_normalization(config)
+    spans = [(l.layer_id, l.var_count, l.mac_count / profile.total_macs, l.utilization,
+              DATAPATH_TYPES) for l in profile.layers]
+    spans.append((CONTROL_LAYER, profile.control_var_count, 1.0, 1.0, CONTROL_TYPES))
+    found, occupied = [], 0.0
+    for layer_id, counts, lp, u, types in spans:
+        for t in types:
+            n = counts.get(t, 0)
+            if n >= 1:
+                mass = lp * type_prob(config, t) * config.raw_fit.get(t, 0.0)
+                found.append((layer_id, t, n, mass, u))
+                occupied += mass / fit_norm
+    if occupied <= 0.0:
+        raise ValueError("no occupied fault sites")
+    norm = fit_norm * occupied
+    bw = config.bit_width
+    table = SiteProbabilityTable(
+        classes=[ProbClass(lid, t, n, mass / (n * norm * bw), u) for lid, t, n, mass, u in found],
+        bit_width=bw,
+    )
     total = table.total_prob()
     if not abs(total - 1.0) <= 1e-9:
         # finite rates near the float maximum overflow the denominators

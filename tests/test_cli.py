@@ -151,6 +151,35 @@ def test_scale_guard_exit_code_and_cleanup(cli_inputs, tmp_path):
     assert not any(tmp_path.iterdir()) or not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command,args,error,message", [
+    ("estimate", ["--strategy", "is", "--samples", "10"], MemoryError(), "out of memory"),
+    ("compare", ["--strategies", "is,uniform", "--seeds", "0"],
+     MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+], ids=["estimate", "compare"])
+def test_memory_error_is_scale_guard_exit(cli_inputs, tmp_path, capsys, monkeypatch,
+                                          command, args, error, message):
+    """A sample budget too large to allocate exits as the scale guard does,
+    leaving no file behind; compare's second strategy fails after the first
+    wrote its trace."""
+    from resacc import cli
+
+    real = cli.estimate_ra
+    calls = []
+
+    def estimate_ra(pdf, *args, **kwargs):
+        calls.append(pdf)
+        if command == "estimate" or len(calls) > 1:
+            raise error
+        return real(pdf, *args, **kwargs)
+
+    monkeypatch.setattr("resacc.cli.estimate_ra", estimate_ra)
+    rc = main([command] + _with_eval(cli_inputs, tmp_path) + args)
+    assert rc == EXIT_SCALE
+    assert len(calls) == (1 if command == "estimate" else 2)
+    assert f"scale guard: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_estimate_fixed_budget_outputs(cli_inputs, tmp_path):
     rc = main(["estimate"] + _with_eval(cli_inputs, tmp_path)
               + ["--strategy", "is", "--samples", "500", "--seed", "7"])
@@ -252,7 +281,6 @@ def test_non_finite_threshold_is_validation_error(cli_inputs, tmp_path, capsys,
     ("estimate", ["--strategy", "is", "--poc", "--threshold", "nan"], "mean tolerance nan"),
     ("compare", ["--seeds", "0", "--max-samples", "-1"], "max_samples = -1 must be at least 1"),
     ("compare", ["--seeds", "0", "--threshold", "-0.1"], "mean tolerance -0.1"),
-    ("compare", ["--seeds", "0", "--strategies", "is,bogus"], "'bogus'"),
 ])
 def test_poc_arguments_are_checked_before_the_oracle(cli_inputs, tmp_path, capsys, monkeypatch,
                                                      command, args, message):
@@ -263,6 +291,30 @@ def test_poc_arguments_are_checked_before_the_oracle(cli_inputs, tmp_path, capsy
     rc = main([command] + _with_eval(cli_inputs, tmp_path) + args)
     assert rc == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command,args,message", [
+    ("compare", ["--seeds", "0", "--strategies", "is,bogus"],
+     "argument --strategies: invalid choice: 'bogus' (choose from 'uniform', 'mac', 'is', 'is-b')"),
+    ("compare", ["--seeds", "0", "--strategies", ","], "--strategies must name at least one"),
+    ("compare", ["--seeds", "0,a"], "argument --seeds: invalid seed 'a'"),
+    ("compare", ["--seeds", "-1"], "argument --seeds: invalid seed '-1'"),
+    ("estimate", ["--strategy", "is", "--poc", "--seed", "-1"], "argument --seed: invalid seed '-1'"),
+    ("gridsim", ["--seed", "-1"], "argument --seed: invalid seed '-1'"),
+], ids=["bogus_strategy", "no_strategy", "seed_a", "negative_seeds", "negative_estimate_seed",
+        "negative_gridsim_seed"])
+def test_bad_seed_or_strategy_list_is_usage_error(cli_inputs, tmp_path, capsys, monkeypatch,
+                                                  command, args, message):
+    """Seeds and strategies are parsed, list items too, before any work."""
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the exhaustive oracle ran before the arguments were checked")
+
+    monkeypatch.setattr("resacc.cli.exhaustive_ra", no_oracle)
+    inputs = (_common if command == "gridsim" else _with_eval)(cli_inputs, tmp_path)
+    rc = main([command] + inputs + args)
+    assert rc == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -22,6 +22,7 @@ from resacc.estimator import (
     hardening_study,
     ra_true_nc,
 )
+from resacc.formats import NumericFormat, default_bp_drop
 from resacc.probtransfer import (
     SiteProbabilityTable,
     build_table,
@@ -29,6 +30,7 @@ from resacc.probtransfer import (
     ra_expected,
 )
 from resacc.profile import CONTROL_LAYER, FFType, SoftwareFaultSite, derive_profile
+from resacc.toynets import make_config, make_dense_toy, make_pool_toy
 
 ALL_STRATEGIES = list(SamplingStrategy)
 
@@ -104,16 +106,72 @@ def test_uniform_equals_importance_on_flat_table(dense_ctx):
     assert np.allclose(uni.unit_prob(), imp.unit_prob())
 
 
-def test_importance_bp_with_zero_drop_equals_importance(dense_ctx):
+def test_importance_bp_is_importance_on_bits_with_no_assumed_drop(dense_ctx):
+    """is-b weights a unit by p(j) * (SA - its bit's assumed drop), so on
+    the bits the default prior assumes no drop its unit probabilities are
+    is's times one constant."""
     imp = build_pdf(SamplingStrategy.IMPORTANCE, dense_ctx.table, dense_ctx.profile)
-    bp = build_pdf(
-        SamplingStrategy.IMPORTANCE_BP,
-        dense_ctx.table,
-        dense_ctx.profile,
-        sa=1.0,
-        bp_model={},
-    )
-    assert np.allclose(imp.unit_prob(), bp.unit_prob())
+    bp = build_pdf(SamplingStrategy.IMPORTANCE_BP, dense_ctx.table, dense_ctx.profile, sa=0.9)
+    free = ~np.isin(bp.bit_pos, list(default_bp_drop(NumericFormat.FP32)))
+    assert free.any() and not free.all()
+    ratio = bp.unit_prob()[free] / imp.unit_prob()[free]
+    assert np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+
+
+def _layout_toy(name: str):
+    """(profile, table) of a toy with layer 0 at utilization 0.5."""
+    fmt = NumericFormat.FP32 if name == "dense" else NumericFormat.FP16
+    net = make_dense_toy(seed=3) if name == "dense" else make_pool_toy(fmt)
+    config = make_config(fmt)
+    profile = derive_profile(net, config, utilization={0: 0.5})
+    return profile, build_table(profile, config)
+
+
+@pytest.mark.parametrize("toy", ["dense", "pool16"])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+def test_pdf_units_are_the_class_bits_of_the_table(toy, strategy):
+    """One unit per (class, bit), class-major and bit-minor (mac leaves out
+    global control), each with its class's columns and uniform over its
+    variables."""
+    profile, table = _layout_toy(toy)
+    pdf = build_pdf(strategy, table, profile, sa=1.0)
+    classes = [c for c in table.classes if strategy is not SamplingStrategy.MAC_WEIGHTED
+               or c.var_type is not FFType.CONTROL_GLOBAL]
+    if strategy is SamplingStrategy.MAC_WEIGHTED:
+        assert len(classes) < len(table.classes)  # the toy has global control
+    got = list(zip(pdf.layer_ids.tolist(), pdf.type_codes.tolist(), pdf.bit_pos.tolist(),
+                   pdf.members.tolist(), pdf.site_probs.tolist(), pdf.utilization.tolist(),
+                   pdf.var_index.tolist()))
+    assert got == [(c.layer_id, list(FFType).index(c.var_type), b, c.var_count,
+                    c.per_var_per_bit_prob, c.utilization, -1)
+                   for c in classes for b in range(table.bit_width)]
+
+
+@pytest.mark.parametrize("toy", ["dense", "pool16"])
+def test_zero_variance_units_are_the_positive_integrand_sites(toy):
+    """One unit per site of positive integrand, in (class, var, bit) order,
+    with its class's columns, its var and one member."""
+    profile, table = _layout_toy(toy)
+    sa = 0.25  # an idle cell keeps SA: layer 0's A(j) = 0 sites stay positive
+
+    def evaluator(site):
+        return (site.var_index + site.bit_pos) % 3 / 2
+
+    pdf = build_zero_variance_pdf(table, evaluator, sa)
+    got = list(zip(pdf.layer_ids.tolist(), pdf.type_codes.tolist(), pdf.bit_pos.tolist(),
+                   pdf.var_index.tolist(), pdf.members.tolist(), pdf.site_probs.tolist(),
+                   pdf.utilization.tolist(), pdf.weights.tolist()))
+    want = []
+    for c in table.classes:
+        p, u = c.per_var_per_bit_prob, c.utilization
+        for v in range(c.var_count):
+            for b in range(table.bit_width):
+                f = p * (u * evaluator(SoftwareFaultSite(c.layer_id, c.var_type, v, b))
+                         + (1.0 - u) * sa)
+                if f > 0.0:
+                    want.append((c.layer_id, list(FFType).index(c.var_type), b, v, 1, p, u, f))
+    assert 0 < len(want) < table.total_sites
+    assert got == want
 
 
 def test_importance_bp_requires_sa(dense_ctx):

@@ -13,12 +13,13 @@ from resacc.probtransfer import (
     RAResult,
     build_table,
     fit_normalization,
-    occupied_mass,
     ra_expected,
     type_prob,
 )
 from resacc.profile import (
     CONTROL_LAYER,
+    CONTROL_TYPES,
+    DATAPATH_TYPES,
     AcceleratorConfig,
     FFType,
     LayerStats,
@@ -76,6 +77,21 @@ def cell_fault_prob(config: AcceleratorConfig, t: FFType, cell_count: float) -> 
     if cell_count <= 0:
         raise ValueError("cell_count must be positive")
     return config.raw_fit.get(t, 0.0) / (cell_count * fit_normalization(config))
+
+
+def occupied_mass(profile: NetworkProfile, config: AcceleratorConfig) -> float:
+    """Probability that the fault lands on a cell holding a variable: on a
+    cell of type t while a layer with a variable of type t runs. A fault on
+    any other cell hits nothing, so site probabilities are conditioned on
+    this event."""
+    layers = [(l.layer_id, DATAPATH_TYPES) for l in profile.layers]
+    mass = 0.0
+    for layer_id, types in layers + [(CONTROL_LAYER, CONTROL_TYPES)]:
+        for t in types:
+            if var_count(profile, layer_id, t) >= 1:
+                mass += (layer_prob(profile, layer_id) * type_prob(config, t)
+                         * cell_fault_prob(config, t, 1.0))
+    return mass
 
 
 def site_prob(
@@ -257,6 +273,19 @@ class TestTable:
                 assert c_a.per_var_per_bit_prob < c_b.per_var_per_bit_prob
             else:
                 assert c_a.per_var_per_bit_prob > c_b.per_var_per_bit_prob
+
+    @pytest.mark.parametrize("var_counts,raw_fit", [
+        ({}, {}),
+        ({FFType.WEIGHT: 4}, {FFType.WEIGHT: 0.0}),
+    ], ids=["no_class", "occupied_types_at_zero_fit"])
+    def test_no_occupied_site_rejected(self, var_counts, raw_fit):
+        """The first profile occupies no cell; the second occupies only
+        weight cells, whose raw FIT is 0 while input cells' is not."""
+        prof = _profile([10], [var_counts])
+        config = _config({FFType.WEIGHT: 4, FFType.INPUT_ACTIVATION: 4},
+                         raw_fit={FFType.WEIGHT: 600.0, FFType.INPUT_ACTIVATION: 600.0, **raw_fit})
+        with pytest.raises(ValueError, match="no occupied fault sites"):
+            build_table(prof, config)
 
     def test_zero_mac_layer_rejected(self):
         # zero-MAC layers are invalid input: the validator flags them and the
