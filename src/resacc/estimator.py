@@ -369,11 +369,17 @@ def estimate_ra(
     rng = np.random.default_rng(seed)
     site_pdf = pdf.site_pdf()
     memo = _SiteMemo(pdf, evaluator)
-    contribs = np.empty(limit, dtype=np.float64)
+    # A run to its PoC doubles its buffer as it draws: the cap bounds what
+    # it may draw, not what it allocates.
+    contribs = np.empty(limit if samples is not None else min(limit, batch), dtype=np.float64)
     drawn = 0
     poc = None
     while drawn < limit:
         n = min(batch, limit - drawn)
+        if drawn + n > len(contribs):
+            grown = np.empty(min(limit, max(drawn + n, 2 * len(contribs))), dtype=np.float64)
+            grown[:drawn] = contribs[:drawn]
+            contribs = grown
         units, vars_ = pdf.draw_batch(rng, n)
         a = memo.lookup(units, vars_)
         f = ra_integrand(pdf.site_probs[units], pdf.utilization[units], a, sa)

@@ -46,14 +46,19 @@ again before a later conv or FC layer (on the benchmark's LeNet-5, 56 of
 2,517 before FC1 over the sites an importance-sampled run draws), and
 every kernel treats batch items alone, so carrying them on changes no
 result. Local-control variables are grouped by the layer their hashed
-weight lands in. A chunk holds as many variables as keep its rows within
-BATCH_BYTES in float64, each row sized by the most elements it holds at once
-(:func:`_row_width`): the widest activation from the first conv, FC or
-softmax layer after the faulted one on, the variable's frontier before
-that, or the terms of one recomputed element, whichever is largest. The
-frontier has one entry per use of the flipped value inside its reuse
-window, and each max-pool on the way may spread an entry to every window
-that covers it, up to its output size. A single variable too large for
+weight lands in. Two kinds of fault are thus the same fault, with A(j)
+equal bit for bit (:func:`repeated_rows`): a local-control variable runs as
+the weight it picks, with the weight type's reuse (:func:`make_fault`), and
+a ReLU's input position is flipped for its one use, as its producer's
+output activation is. The exhaustive oracle gathers such a class from the
+earlier one's rows instead of injecting it again. A chunk holds as many
+variables as keep its rows within BATCH_BYTES in float64, each row sized by
+the most elements it holds at once (:func:`_row_width`): the widest
+activation from the first conv, FC or softmax layer after the faulted one
+on, the variable's frontier before that, or the terms of one recomputed
+element, whichever is largest. The frontier has one entry per use of the
+flipped value inside its reuse window, and each max-pool on the way may
+spread an entry to every window that covers it, up to its output size. A single variable too large for
 that goes in chunks of inputs, a recompute in chunks of output elements
 whose (elements, bits, inputs, fan-in + 1) float64 sums fit in
 BATCH_BYTES, and a frontier max-pool in chunks of entries whose window
@@ -419,6 +424,48 @@ def _local_control_targets(
     if np.any(at == len(ends)):
         raise ValueError("the profile's layers hold fewer weights than the network")
     return layer_ids[at], gidx - (ends - sizes)[at]
+
+
+def repeated_rows(
+    net: MicroNetwork,
+    profile: NetworkProfile,
+    config: AcceleratorConfig,
+    semantics: FaultSemantics,
+    fault: FaultSpec,
+    var_count: int,
+) -> list[tuple[tuple[int, FFType], np.ndarray, np.ndarray]]:
+    """The earlier classes whose A(j) the variables 0..``var_count`` - 1 of
+    ``fault.site``'s (layer, type) class repeat bit for bit, over every bit
+    and input: (class, positions, rows) groups, variable ``positions[i]``
+    repeating variable ``rows[i]`` of ``class``. Empty for a class that
+    repeats none. These are the engine's equivalent faults:
+
+    * A local-control variable runs as the fault of the weight its hash
+      picks (:func:`_local_control_targets`), with the mode and reuse of its
+      own spec, which :func:`make_fault` takes from the weight type. Its
+      rows are that weight class's under TRUE semantics, when the weight
+      class's resolved spec has the same mode and reuse.
+    * A ReLU's input position is flipped for its one use, as its producer's
+      output activation is (:func:`_faulty_outputs`), and the ReLU then
+      takes the same flipped value on either path. Its rows are those of
+      the output-activation class of the profile layer at the ReLU's net
+      index minus one, if there is one (a Flatten there has none).
+    """
+    var_type = fault.site.var_type
+    vs = np.arange(var_count)
+    if var_type is FFType.CONTROL_LOCAL and semantics is FaultSemantics.TRUE:
+        weight = make_fault(fault.site._replace(var_type=FFType.WEIGHT), config, semantics)
+        if (weight.mode, weight.reuse) != (fault.mode, fault.reuse):
+            return []
+        layer_ids, rows = _local_control_targets(net, profile, vs)
+        return [((int(lid), FFType.WEIGHT), at, rows[at])
+                for lid in np.unique(layer_ids) for at in [np.flatnonzero(layer_ids == lid)]]
+    if var_type is FFType.INPUT_ACTIVATION:
+        i = profile.layer(fault.site.layer_id).net_index
+        if 0 < i < len(net.layers) and isinstance(net.layers[i], ReLU):
+            return [((l.layer_id, FFType.OUTPUT_ACTIVATION), vs, vs)
+                    for l in profile.layers if l.net_index == i - 1]
+    return []
 
 
 def _check_vars(vs: np.ndarray, count: int, var_type: FFType) -> None:

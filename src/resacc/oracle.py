@@ -2,7 +2,12 @@
 
 The exhaustive oracle enumerates every fault site of a desk-scale network and
 evaluates the test-set accuracy under each, yielding the exact expected-value
-RA plus a reusable per-site accuracy archive. The grid simulator drops pins
+RA plus a reusable per-site accuracy archive. It collapses equivalent faults,
+as fault simulators do (Abramovici, Breuer & Friedman, *Digital Systems
+Testing and Testable Design*, ch. 4): a class whose faults the engine runs as
+those of an earlier class (``microdnn.repeated_rows``: local control under
+TRUE semantics, a ReLU's input) takes that class's rows by one gather
+instead of being injected again. The grid simulator drops pins
 on a 2-D (flip-flop x cycle) cell grid and checks that empirical class
 frequencies match the analytical site probabilities.
 """
@@ -23,6 +28,7 @@ from .microdnn import (
     accuracy,
     make_fault,
     prediction_batches,
+    repeated_rows,
 )
 from .probtransfer import (
     ProbClass,
@@ -124,10 +130,15 @@ def evaluate_classes(
     """A(j) of every site of `classes`, as an archive.
 
     Each class is evaluated a chunk of variables at a time, over all their
-    bits in one batch (`microdnn.prediction_batches`); `progress`, when
-    given, is called as progress(sites_done, sites_total) after each chunk,
-    with `sites_done` strictly increasing up to `sites_total`. Crash classes
-    cost no inference (their accuracy is 0 by definition). Every class's
+    bits in one batch (`microdnn.prediction_batches`), unless its faults
+    repeat those of classes evaluated before it in `classes`
+    (`microdnn.repeated_rows`): then its rows are gathered from theirs, bit
+    for bit the values an injection gives. A class whose source is missing,
+    or comes after it, is injected. `progress`, when given, is called as
+    progress(sites_done, sites_total) after each chunk and each gathered
+    class, with `sites_done` strictly increasing up to `sites_total`. Crash
+    classes cost no inference (their accuracy is 0 by definition), and the
+    scale guard counts every other site, gathered ones included. Every class's
     fault is resolved before anything is evaluated, so a class the
     semantics do not model raises at once.
     Raises ScaleGuardExceeded when sites x evalset would exceed
@@ -152,15 +163,28 @@ def evaluate_classes(
         for c in classes
     }
     bits = range(bit_width)
-    done = 0
+    done, filled = 0, set()
+
+    def step(n_vars):
+        nonlocal done
+        done += n_vars * bit_width
+        if progress is not None:
+            progress(done, n_eval_sites)
+
     for c, fault in live:
-        arr = entries[(c.layer_id, c.var_type)]
-        batches = prediction_batches(net, fault, profile, cache, bits, np.arange(c.var_count))
-        for positions, preds in batches:
-            arr[positions] = np.count_nonzero(preds == evalset.labels, axis=2) / evalset.size
-            done += len(positions) * bit_width
-            if progress is not None:
-                progress(done, n_eval_sites)
+        key = (c.layer_id, c.var_type)
+        arr = entries[key]
+        groups = repeated_rows(net, profile, config, semantics, fault, c.var_count)
+        if groups and all(source in filled for source, _, _ in groups):
+            for source, positions, rows in groups:
+                arr[positions] = entries[source][rows]
+            step(c.var_count)
+        else:
+            batches = prediction_batches(net, fault, profile, cache, bits, np.arange(c.var_count))
+            for positions, preds in batches:
+                arr[positions] = np.count_nonzero(preds == evalset.labels, axis=2) / evalset.size
+                step(len(positions))
+        filled.add(key)
     return SiteArchive(entries=entries, sa=sa, semantics=semantics)
 
 

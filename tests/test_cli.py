@@ -232,6 +232,19 @@ def test_estimate_poc_reports_convergence_point(cli_inputs, tmp_path):
     assert int(summary[0][3]) >= 300
 
 
+def test_estimate_poc_max_samples_caps_without_allocating(cli_inputs, tmp_path):
+    """A --poc run's buffer grows as it draws, so a cap far beyond memory
+    gives the summary row of a run at the default cap."""
+    rows = []
+    for cap in ([], ["--max-samples", "1000000000000"]):
+        out = tmp_path / f"cap{len(cap)}"
+        rc = main(["estimate"] + _with_eval(cli_inputs, out)
+                  + ["--strategy", "is", "--poc", "--seed", "1"] + cap)
+        assert rc == EXIT_OK
+        rows.append(read_csv(out / "summary.csv", "strategy,seed,ra,samples_to_poc"))
+    assert rows[0] == rows[1] and rows[0][0][3] != ""
+
+
 @pytest.mark.parametrize("command,args,count", [
     ("estimate", ["--strategy", "is", "--samples", "0"], "samples = 0"),
     ("estimate", ["--strategy", "is", "--samples", "-3"], "samples = -3"),

@@ -690,6 +690,55 @@ def test_local_control_targets_follow_the_knuth_hash(make_net):
         _hashed_weight(net, profile, v) for v in vs]
 
 
+def test_repeated_rows_name_only_equivalent_faults():
+    """Local control repeats the weight rows its hash picks, under TRUE
+    semantics and the weight's own mode and reuse only; a ReLU input repeats
+    the output activations of the profile layer before it, and a class with
+    no such layer, or of another kind, repeats nothing."""
+    fmt = NumericFormat.FP16
+    net, config = make_pool_toy(fmt), make_config(fmt)
+    profile = derive_profile(net, config)
+
+    def rows_of(site, semantics=FaultSemantics.TRUE, fault=None, n=None):
+        fault = fault or make_fault(site, config, semantics)
+        count = n or profile.layer(site.layer_id).var_count[site.var_type]
+        return microdnn.repeated_rows(net, profile, config, semantics, fault, count)
+
+    n = profile.control_var_count[FFType.CONTROL_LOCAL]
+    local = SoftwareFaultSite(CONTROL_LAYER, FFType.CONTROL_LOCAL, 0, 0)
+    groups = rows_of(local, n=n)
+    layer_ids, widx = microdnn._local_control_targets(net, profile, np.arange(n))
+    assert sorted(np.concatenate([pos for _, pos, _ in groups]).tolist()) == list(range(n))
+    for (lid, t), pos, rows in groups:
+        assert t is FFType.WEIGHT and (layer_ids[pos] == lid).all()
+        assert np.array_equal(rows, widx[pos])
+    reuse = config.reuse[FFType.WEIGHT]
+    for fault, semantics in [
+        (FaultSpec(local, FaultMode.REUSE_BOUNDED, reuse + 1), FaultSemantics.TRUE),
+        (FaultSpec(local, FaultMode.FULL_CORRUPTION), FaultSemantics.TRUE),
+        (FaultSpec(local, FaultMode.FULL_CORRUPTION), FaultSemantics.SW),
+    ]:
+        assert rows_of(local, semantics, fault, n) == []
+
+    relu_input = SoftwareFaultSite(1, FFType.INPUT_ACTIVATION, 0, 0)
+    n = profile.layer(1).var_count[FFType.INPUT_ACTIVATION]
+    for semantics in FaultSemantics:
+        [(source, pos, rows)] = rows_of(relu_input, semantics)
+        assert source == (0, FFType.OUTPUT_ACTIVATION)
+        assert pos.tolist() == rows.tolist() == list(range(n))
+    for lid, t in [(0, FFType.INPUT_ACTIVATION), (0, FFType.WEIGHT), (1, FFType.OUTPUT_ACTIVATION),
+                   (2, FFType.INPUT_ACTIVATION), (3, FFType.INPUT_ACTIVATION)]:
+        assert rows_of(SoftwareFaultSite(lid, t, 0, 0)) == [], (lid, t)
+
+    # A Flatten before the ReLU: no profile layer produces its input.
+    rng = np.random.default_rng(4)
+    flat = MicroNetwork([Conv2D(_weights(rng, (2, 1, 3, 3), fmt)), Flatten(), ReLU(),
+                         FC(_weights(rng, (3, 32), fmt)), Softmax()], (1, 6, 6), fmt)
+    fault = make_fault(relu_input, config)
+    assert microdnn.repeated_rows(flat, derive_profile(flat, config), config,
+                                  FaultSemantics.TRUE, fault, 32) == []
+
+
 # --- batches of variables ------------------------------------------------------
 
 def _overlap_toy(fmt):
@@ -888,8 +937,9 @@ def test_batch_of_variables_with_an_empty_frontier_gives_clean_predictions(
 
 
 def test_oracle_progress_rises_to_the_total(monkeypatch):
-    """``progress`` is called once per batch with a strictly rising count of
-    sites done that ends at the total; a caller may divide by the step."""
+    """``progress`` is called once per injected batch and once per gathered
+    class with a strictly rising count of sites done that ends at the total;
+    a caller may divide by the step."""
     fmt = NumericFormat.FP16
     net = make_pool_toy(fmt)
     config = make_config(fmt)
@@ -898,7 +948,12 @@ def test_oracle_progress_rises_to_the_total(monkeypatch):
     table = build_table(profile, config)
     crash_sites = sum(c.var_count for c in table.classes
                       if c.var_type is FFType.CONTROL_GLOBAL) * table.bit_width
-    n_vars = sum(c.var_count for c in table.classes if c.var_type is not FFType.CONTROL_GLOBAL)
+    # Local control repeats the weights' rows and the ReLU's input the conv's
+    # output activations: each is gathered in one step.
+    gathered = {(CONTROL_LAYER, FFType.CONTROL_LOCAL), (1, FFType.INPUT_ACTIVATION)}
+    injected = [c for c in table.classes if c.var_type is not FFType.CONTROL_GLOBAL
+                and (c.layer_id, c.var_type) not in gathered]
+    n_steps = sum(c.var_count for c in injected) + len(gathered)
     for batch_bytes in (1, microdnn.BATCH_BYTES):
         monkeypatch.setattr(microdnn, "BATCH_BYTES", batch_bytes)
         calls = []
@@ -907,8 +962,9 @@ def test_oracle_progress_rises_to_the_total(monkeypatch):
         assert all(b > a for a, b in zip([0] + done, done)), done
         assert {t for _, t in calls} == {table.total_sites - crash_sites}
         assert done[-1] == table.total_sites - crash_sites
-        # one call per variable when every batch holds one, fewer otherwise
-        assert len(calls) == n_vars if batch_bytes == 1 else len(calls) < n_vars
+        # one call per injected variable when every batch holds one, plus one
+        # per gathered class; fewer otherwise
+        assert len(calls) == n_steps if batch_bytes == 1 else len(calls) < n_steps
 
 
 # --- masked rows -----------------------------------------------------------------

@@ -369,6 +369,19 @@ def test_poc_stopping_caps_at_max_samples(dense_ctx, dense_oracle):
     assert est.poc_index is None and est.samples_drawn == 1500
 
 
+def test_poc_run_allocates_for_what_it_draws_not_for_its_cap(dense_ctx, dense_oracle):
+    """A cap of 10**12 samples, far beyond memory, only caps the run: it
+    stops where a run capped at 4,096 stops, with the same trace."""
+    res, arch = dense_oracle
+    pdf = build_pdf(SamplingStrategy.IMPORTANCE, dense_ctx.table, dense_ctx.profile)
+    small, huge = (estimate_ra(pdf, dense_ctx.table, arch.evaluator, criteria=PoCCriteria(),
+                               ground_truth=res.ra, seed=4, max_samples=cap, batch=512)
+                   for cap in (4096, 10**12))
+    assert small.poc_index is not None
+    assert (huge.poc_index, huge.mean) == (small.poc_index, small.mean)
+    assert huge.trace.tobytes() == small.trace.tobytes()
+
+
 def test_zero_variance_pdf_contributions_all_equal(dense_ctx, dense_oracle):
     res, arch = dense_oracle
     pdf = build_zero_variance_pdf(dense_ctx.table, arch.evaluator, arch.sa)

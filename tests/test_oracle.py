@@ -7,7 +7,7 @@ import pytest
 
 from resacc.estimator import hardening_study
 from resacc.formats import NumericFormat
-from resacc.microdnn import FaultSemantics, accuracy
+from resacc.microdnn import FaultSemantics, accuracy, prediction_batches
 from resacc.oracle import (
     GridModel,
     ScaleGuardExceeded,
@@ -211,6 +211,79 @@ def test_sw_archive_of_the_datapath_classes_matches_live_injection(dense_ctx):
             assert arch.evaluator(site) == ev(site), site
 
 
+# --- equivalent faults ----------------------------------------------------------
+
+LOCAL_CONTROL = (CONTROL_LAYER, FFType.CONTROL_LOCAL)
+RELU_INPUT = (1, FFType.INPUT_ACTIVATION)  # of the dense and pool toys
+
+
+@pytest.fixture(scope="module")
+def pool16_ctx():
+    return build_context(make_pool_toy(NumericFormat.FP16), make_config(NumericFormat.FP16))
+
+
+def _record_injections(monkeypatch) -> list:
+    """The (layer, type) of each class the oracle injects, in order."""
+    injected = []
+
+    def recording(net, fault, *args):
+        injected.append((fault.site.layer_id, fault.site.var_type))
+        return prediction_batches(net, fault, *args)
+
+    monkeypatch.setattr("resacc.oracle.prediction_batches", recording)
+    return injected
+
+
+def test_oracle_gathers_the_local_control_and_relu_input_classes(pool16_ctx, monkeypatch):
+    """On the FP16 pool toy the oracle injects every live class but local
+    control, which repeats the weights' rows, and the ReLU's input, which
+    repeats the conv's output activations."""
+    ctx = pool16_ctx
+    injected = _record_injections(monkeypatch)
+    exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset)
+    assert injected == [(c.layer_id, c.var_type) for c in ctx.table.classes
+                        if (c.layer_id, c.var_type) not in (LOCAL_CONTROL, RELU_INPUT)
+                        and c.var_type is not FFType.CONTROL_GLOBAL]
+
+
+def test_sw_datapath_classes_gather_the_relu_input(dense_ctx, monkeypatch):
+    """Under SW semantics too, the dense toy's ReLU input is gathered from
+    the first FC layer's output activations, and equals its injection."""
+    table = dense_ctx.table
+    datapath = [c for c in table.classes if c.layer_id != CONTROL_LAYER]
+    args = dense_ctx.net, dense_ctx.evalset, dense_ctx.profile, dense_ctx.config
+    injected = _record_injections(monkeypatch)
+    arch = evaluate_classes(*args, datapath, table.bit_width, FaultSemantics.SW)
+    assert injected == [(c.layer_id, c.var_type) for c in datapath
+                        if (c.layer_id, c.var_type) != RELU_INPUT]
+    relu = [c for c in datapath if (c.layer_id, c.var_type) == RELU_INPUT]
+    alone = evaluate_classes(*args, relu, table.bit_width, FaultSemantics.SW)
+    assert injected[-1] == RELU_INPUT
+    assert np.array_equal(arch.entries[RELU_INPUT], alone.entries[RELU_INPUT])
+
+
+@pytest.mark.parametrize("order", ["alone", "before_its_source"])
+@pytest.mark.parametrize("key,sources", [
+    (LOCAL_CONTROL, [(0, FFType.WEIGHT), (3, FFType.WEIGHT)]),
+    (RELU_INPUT, [(0, FFType.OUTPUT_ACTIVATION)]),
+], ids=["local_control", "relu_input"])
+def test_class_without_its_source_before_it_is_injected(pool16_ctx, pool16_oracle, monkeypatch,
+                                                        key, sources, order):
+    """A class whose source class is not evaluated before it is injected,
+    and its rows equal those the full archive gathered."""
+    ctx = pool16_ctx
+    _, full = pool16_oracle
+    by_key = {(c.layer_id, c.var_type): c for c in ctx.table.classes}
+    classes = [by_key[key]] + ([by_key[s] for s in sources] if order != "alone" else [])
+    injected = _record_injections(monkeypatch)
+    arch = evaluate_classes(ctx.net, ctx.evalset, ctx.profile, ctx.config, classes,
+                            ctx.table.bit_width)
+    assert injected == [(c.layer_id, c.var_type) for c in classes]
+    for c in classes:
+        assert np.array_equal(arch.entries[c.layer_id, c.var_type],
+                              full.entries[c.layer_id, c.var_type])
+
+
 def test_live_evaluator_sw_rejects_crash_sites(dense_ctx):
     ev = live_evaluator(
         dense_ctx.net,
@@ -335,8 +408,8 @@ def test_grid_utilization_matches_exhaustive_uf_ra(dense_oracle):
 # --- archive reads ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def pool16_oracle():
-    ctx = build_context(make_pool_toy(NumericFormat.FP16), make_config(NumericFormat.FP16))
+def pool16_oracle(pool16_ctx):
+    ctx = pool16_ctx
     return exhaustive_ra(ctx.profile, ctx.config, ctx.net, ctx.evalset)
 
 
