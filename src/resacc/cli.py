@@ -134,17 +134,6 @@ class OracleProgress:
               f"eta {eta:.0f} s", file=sys.stderr)
 
 
-def read_csv(path: str | Path, schema: str) -> list[list[str]]:
-    """Read a resacc CSV, enforcing the schema line (mismatch is an error,
-    never silent coercion)."""
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 2 or not lines[0].startswith("# resacc-csv"):
-        raise ValidationError(f"{path}: not a resacc CSV")
-    if lines[1] != schema:
-        raise ValidationError(f"{path}: schema {lines[1]!r} != expected {schema!r}")
-    return [line.split(",") for line in lines[2:] if line]
-
-
 def _spec_hash(paths: list[Path], extra: str) -> str:
     h = hashlib.sha256()
     for p in paths:

@@ -17,7 +17,10 @@ supported PDFs:
 All draws flow from one seeded generator in a defined order, so results are
 reproducible for a given seed and `batch`; the stream is not independent of
 `batch` (each batch draws its units, then its vars), so another batch size
-draws other sites.
+draws other sites. Fixed-budget and PoC runs share one loop, which carries
+the running sums of the contributions, of the trace and of its square, each
+continued in sequence, so each equals a whole-run `np.cumsum` bit for bit.
+The one window test thus reads only each batch's windows: cost is linear.
 
 A(j) is read once per distinct site of a run, in first-draw order, and every
 weight and contribution is an array operation over the batch. The exact sums
@@ -252,29 +255,40 @@ class RAEstimate:
     contribs: np.ndarray | None = None  # per-sample contributions p*A/PDF
 
 
-def detect_poc(
-    trace: np.ndarray,
-    ground_truth: float,
-    criteria: PoCCriteria = PoCCriteria(),
-) -> int | None:
+def _continued(sums: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`sums`, then the running sums of `x` from `sums[-1]` on, added in
+    sequence as one `np.cumsum` over the whole series adds them."""
+    out = np.concatenate((sums, x))
+    np.cumsum(out[len(sums) - 1 :], out=out[len(sums) - 1 :])
+    return out
+
+
+class _PoCTest:
+    """The PoC test over a trace fed in pieces: it keeps the running sums of the
+    trace and its square at the last `window` counts, to test only new windows."""
+
+    def __init__(self, ground_truth: float, criteria: PoCCriteria):
+        self.truth, self.crit = ground_truth, criteria
+        self.count, self.sums, self.squares = 0, np.zeros(1), np.zeros(1)
+
+    def feed(self, trace: np.ndarray) -> int | None:
+        truth, crit, w = self.truth, self.crit, self.crit.window
+        start = self.count + 1 - len(self.sums)  # the sample count of c1[0]
+        c1, c2 = _continued(self.sums, trace), _continued(self.squares, trace * trace)
+        self.count += len(trace)
+        self.sums, self.squares = c1[-w:], c2[-w:]
+        wmean = (c1[w:] - c1[:-w]) / w
+        wvar = np.maximum((c2[w:] - c2[:-w]) / w - wmean**2, 0.0)
+        ok = (np.abs(wmean - truth) <= crit.mean_tol * abs(truth)) & (wvar < crit.var_thresh)
+        idx = np.flatnonzero(ok)
+        return start + int(idx[0]) + w if idx.size else None
+
+
+def detect_poc(trace: np.ndarray, ground_truth: float,
+               criteria: PoCCriteria = PoCCriteria()) -> int | None:
     """Earliest sample count whose trailing window meets the criteria, or
-    None. The variance tested is that of the running-mean trace within the
-    window (what the convergence plots show)."""
-    t = np.asarray(trace, dtype=np.float64)
-    w = criteria.window
-    if len(t) < w:
-        return None
-    c1 = np.concatenate([[0.0], np.cumsum(t)])
-    c2 = np.concatenate([[0.0], np.cumsum(t * t)])
-    wsum = c1[w:] - c1[:-w]
-    wsq = c2[w:] - c2[:-w]
-    wmean = wsum / w
-    wvar = np.maximum(wsq / w - wmean**2, 0.0)
-    ok = (np.abs(wmean - ground_truth) <= criteria.mean_tol * abs(ground_truth)) & (
-        wvar < criteria.var_thresh
-    )
-    idx = np.flatnonzero(ok)
-    return int(idx[0]) + w if idx.size else None
+    None: the whole trace fed at once through `estimate_ra`'s PoC test."""
+    return _PoCTest(ground_truth, criteria).feed(np.asarray(trace, dtype=np.float64))
 
 
 def _check_coverage(pdf: DiscretePDF, table: SiteProbabilityTable):
@@ -349,13 +363,14 @@ def estimate_ra(
     """Run the Monte Carlo estimator.
 
     Stops after `samples` draws, or (when `criteria` and `ground_truth` are
-    given instead) at the point of convergence, capped at `max_samples`.
-    The evaluator is called once per distinct site of the run, at the
-    site's first draw; repeated draws reuse that A(j). `sa` may be left out
-    only when every unit of `pdf` is fully utilized, so that SA has no weight.
+    given instead) at the point of convergence (PoC), capped at `max_samples`;
+    a fixed run with `ground_truth` reports its first PoC under `criteria`
+    (default `PoCCriteria()`). Both share one loop and one window test, in time
+    linear in the draws. The evaluator is called once per distinct site, at its
+    first draw. `sa` may be left out only when every unit is fully utilized.
     """
-    if samples is None and (criteria is None or ground_truth is None):
-        raise ValueError("need either a sample count or criteria + ground truth")
+    if (samples is None and criteria is None) or (criteria is not None and ground_truth is None):
+        raise ValueError("need a sample count or criteria, and criteria need a ground_truth")
     if sa is None:
         if np.any(pdf.utilization < 1.0):
             raise ValueError("utilization weighting needs the fault-free accuracy")
@@ -369,39 +384,34 @@ def estimate_ra(
     rng = np.random.default_rng(seed)
     site_pdf = pdf.site_pdf()
     memo = _SiteMemo(pdf, evaluator)
-    # A run to its PoC doubles its buffer as it draws: the cap bounds what
-    # it may draw, not what it allocates.
-    contribs = np.empty(limit if samples is not None else min(limit, batch), dtype=np.float64)
-    drawn = 0
-    poc = None
-    while drawn < limit:
+    # Rows: each draw's contribution and the running mean after it. A PoC run
+    # doubles them when full: its cap bounds what it draws, not what it holds.
+    buf = np.empty((2, limit if samples is not None else min(limit, batch)))
+    test = None if ground_truth is None else _PoCTest(ground_truth, criteria or PoCCriteria())
+    sums = np.full(1, -0.0)  # -0.0 + x is x bit for bit, as np.cumsum starts
+    drawn, poc = 0, None
+    while drawn < limit and (poc is None or samples is not None):
         n = min(batch, limit - drawn)
-        if drawn + n > len(contribs):
-            grown = np.empty(min(limit, max(drawn + n, 2 * len(contribs))), dtype=np.float64)
-            grown[:drawn] = contribs[:drawn]
-            contribs = grown
+        if drawn + n > buf.shape[1]:  # full: it holds batch * 2**k draws
+            buf = np.hstack((buf, np.empty((2, min(limit, 2 * drawn) - drawn))))
         units, vars_ = pdf.draw_batch(rng, n)
         a = memo.lookup(units, vars_)
         f = ra_integrand(pdf.site_probs[units], pdf.utilization[units], a, sa)
-        contribs[drawn : drawn + n] = f / site_pdf[units]
+        buf[0, drawn : drawn + n] = c = f / site_pdf[units]
+        sums = _continued(sums[-1:], c)
+        buf[1, drawn : drawn + n] = t = sums[1:] / np.arange(drawn + 1, drawn + n + 1)
         drawn += n
-        if samples is None:
-            trace = np.cumsum(contribs[:drawn]) / np.arange(1, drawn + 1)
-            poc = detect_poc(trace, ground_truth, criteria)
-            if poc is not None:
-                break
-    c = contribs[:drawn]
-    trace = np.cumsum(c) / np.arange(1, drawn + 1)
-    if samples is not None and ground_truth is not None:
-        poc = detect_poc(trace, ground_truth, criteria or PoCCriteria())
+        if poc is None and test is not None:
+            poc = test.feed(t)
+    contribs, trace = buf[:, :drawn]
     return RAEstimate(
         mean=float(trace[-1]),
-        variance=float(np.var(c, ddof=1)) if drawn > 1 else 0.0,
+        variance=float(np.var(contribs, ddof=1)) if drawn > 1 else 0.0,
         samples_drawn=drawn,
         trace=trace,
         seed=seed,
         poc_index=poc,
-        contribs=c,
+        contribs=contribs,
     )
 
 

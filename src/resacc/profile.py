@@ -267,20 +267,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def config_to_text(config: AcceleratorConfig) -> str:
-    lines = []
-    for t in FFType:
-        lines.append(f"ff_count.{t.value} = {config.ff_count.get(t, 0)}")
-    for t in FFType:
-        lines.append(f"raw_fit.{t.value} = {config.raw_fit.get(t, 0.0)!r}")
-    lines.append(f"bit_width = {config.bit_width}")
-    lines.append(f"numeric_format = {config.numeric_format.value}")
-    for t in FFType:
-        lines.append(f"reuse.{t.value} = {config.reuse.get(t, 1)}")
-    lines.append(f"control_global_fraction = {config.control_global_fraction!r}")
-    return "\n".join(lines) + "\n"
-
-
 _CONFIG_KEYS = frozenset(
     {"bit_width", "numeric_format", "control_global_fraction",
      "ff_count.control", "raw_fit.control"}

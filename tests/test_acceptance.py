@@ -37,7 +37,6 @@ from resacc.profile import (
     FFType,
     LayerStats,
     NetworkProfile,
-    config_to_text,
     derive_profile,
 )
 from resacc.toynets import (
@@ -48,6 +47,7 @@ from resacc.toynets import (
 )
 
 from conftest import build_context
+from textio import config_to_text
 
 ALL_STRATEGIES = list(SamplingStrategy)
 STRATEGY_ORDER = [

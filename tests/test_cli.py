@@ -26,16 +26,17 @@ from resacc.cli import (
     OracleProgress,
     ValidationError,
     main,
-    read_csv,
 )
 from resacc.container import load_evalset, load_network, save_evalset, save_network
 from resacc.estimator import PoCCriteria, SamplingStrategy, build_pdf, uniform_site_mean
 from resacc.microdnn import EvalSet, FaultSemantics, forward
 from resacc.oracle import SiteArchive, live_evaluator
 from resacc.probtransfer import build_table
-from resacc.profile import CONTROL_TYPES, DATAPATH_TYPES, config_to_text, derive_profile
+from resacc.profile import CONTROL_TYPES, DATAPATH_TYPES, derive_profile
 from resacc.formats import NumericFormat
 from resacc.toynets import make_config, make_dense_toy, make_evalset, make_pool_toy
+
+from textio import config_to_text, read_csv
 
 
 @pytest.fixture(scope="session")

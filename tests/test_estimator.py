@@ -276,6 +276,17 @@ def test_estimator_needs_budget_or_criteria(dense_ctx):
         estimate_ra(pdf, dense_ctx.table, lambda s: 1.0)
 
 
+def test_estimator_refuses_criteria_without_ground_truth(dense_ctx):
+    """Criteria with nothing to test them against would be ignored; the run
+    is refused before any site is asked."""
+    pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
+    calls = []
+    with pytest.raises(ValueError, match="criteria.*ground_truth"):
+        estimate_ra(pdf, dense_ctx.table, lambda s: calls.append(s) or 1.0, samples=500,
+                    criteria=PoCCriteria(window=10))
+    assert calls == []
+
+
 @pytest.mark.parametrize("batch", [0, -1])
 def test_estimator_rejects_batch_below_one(dense_ctx, batch):
     """A batch of 0 would draw nothing and loop forever; a negative one
@@ -380,6 +391,20 @@ def test_poc_run_allocates_for_what_it_draws_not_for_its_cap(dense_ctx, dense_or
     assert small.poc_index is not None
     assert (huge.poc_index, huge.mean) == (small.poc_index, small.mean)
     assert huge.trace.tobytes() == small.trace.tobytes()
+
+
+def test_fixed_budget_too_large_to_allocate_fails_before_the_first_draw(dense_ctx):
+    """A `samples=N` run allocates its N draws before the first one. 10**15
+    draws need 16 PB, more than a process's address space, so under any
+    overcommit policy the run raises MemoryError (the CLI's scale-guard
+    exit) with no site asked."""
+    pdf = build_pdf(SamplingStrategy.UNIFORM, dense_ctx.table, dense_ctx.profile)
+
+    def no_site(site):
+        raise AssertionError(f"site {site} asked before the buffer was allocated")
+
+    with pytest.raises(MemoryError):
+        estimate_ra(pdf, dense_ctx.table, no_site, samples=10**15)
 
 
 def test_zero_variance_pdf_contributions_all_equal(dense_ctx, dense_oracle):

@@ -79,19 +79,28 @@ def _pdf(name, profile, table, arch):
     return build_pdf(SamplingStrategy(name), table, profile, sa=arch.sa)
 
 
-@pytest.mark.parametrize("mode", ["fixed", "fixed-with-truth", "poc"])
+# Batches smaller than the run, so the memo spans batches; with truth, also
+# batches below, at and just over the 300-draw window, so windows span them.
+# At 299 the zero-variance PDF's PoC, 300, is the first draw of a batch.
+MODES = [pytest.param("fixed", 700, id="fixed"),
+         pytest.param("fixed-with-truth", 700, id="fixed-with-truth"),
+         pytest.param("poc", 333, id="poc")] + [
+    pytest.param(mode, batch, id=f"{mode}-batch{batch}")
+    for mode in ("fixed-with-truth", "poc") for batch in (97, 299, 300, 301)]
+
+
+@pytest.mark.parametrize("mode,batch", MODES)
 @pytest.mark.parametrize("uf", [None, _uf], ids=["uf1", "uf"])
 @pytest.mark.parametrize("pdf_name", PDFS)
-def test_estimate_ra_matches_per_sample_loop(case, pdf_name, uf, mode):
+def test_estimate_ra_matches_per_sample_loop(case, pdf_name, uf, mode, batch):
     ctx, arch = case
     profile, table, ref_uf = _at_utilization(ctx, uf)
     pdf = _pdf(pdf_name, profile, table, arch)
     truth = ref.ra_expected(table, arch.evaluator, arch.sa, ref_uf).ra
     if mode == "poc":
-        # batches smaller than the run, so the memo spans batches
-        kw = dict(criteria=PoCCriteria(), ground_truth=truth, max_samples=5000, batch=333)
+        kw = dict(criteria=PoCCriteria(), ground_truth=truth, max_samples=5000, batch=batch)
     else:
-        kw = dict(samples=3000, batch=700)
+        kw = dict(samples=3000, batch=batch)
         if mode == "fixed-with-truth":
             kw["ground_truth"] = truth
     got_ev, want_ev = Recorder(arch.evaluator), Recorder(arch.evaluator)

@@ -18,13 +18,14 @@ from resacc.profile import (
     NetworkProfile,
     SoftwareFaultSite,
     config_from_text,
-    config_to_text,
     derive_profile,
     parse_kv_text,
     profile_to_text,
     validate_profile,
 )
 from resacc.toynets import make_config, make_conv_toy, make_dense_toy, make_pool_toy
+
+from textio import config_to_text
 
 
 _LAYER_KEY = re.compile(r"^layer\.(\d+)\.(.+)$")
