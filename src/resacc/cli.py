@@ -27,6 +27,7 @@ from .estimator import (
     PoCCriteria,
     SamplingStrategy,
     build_pdf,
+    check_drop_threshold,
     estimate_ra,
     fit_sdc_rates,
     hardening_study,
@@ -299,12 +300,13 @@ def _distinct(option: str, noun: str, values: list) -> None:
 def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     """One ``estimate_ra`` per (strategy, seed), each strategy's PDF built
     once: a fixed-budget run over live injection or, with --poc, a run to
-    the point of convergence over the exhaustive oracle's archive. The PDFs
-    and the convergence test are built first, so a bad argument costs no
-    oracle run. Writes each trace and ``summary.csv``, with each strategy's
-    median row if ``medians``; returns the exhaustive RA (None without
-    --poc) and the estimates."""
+    the point of convergence over the exhaustive oracle's archive. The
+    convergence test (checked with or without --poc) and the PDFs are built
+    first, so a bad argument costs no oracle run. Writes each trace and
+    ``summary.csv``, with each strategy's median row if ``medians``; returns
+    the exhaustive RA (None without --poc) and the estimates."""
     _at_least_one(samples=args.samples, max_samples=args.max_samples)
+    criteria = PoCCriteria(mean_tol=args.threshold)
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     table = build_table(profile, config)
     semantics = _semantics(args, table)
@@ -313,7 +315,6 @@ def _estimate(args, out: RunOutputs, strategies, seeds, medians: bool = False):
     pdfs = [build_pdf(s, table, profile, sa=sa) for s in strategies]
     truth, budget = None, {"samples": args.samples}
     if args.poc:
-        criteria = PoCCriteria(mean_tol=args.threshold)
         result, archive = exhaustive_ra(profile, config, net, evalset, semantics)
         truth, evaluator = result.ra, archive.evaluator
         budget = {"criteria": criteria, "ground_truth": truth, "max_samples": args.max_samples}
@@ -402,6 +403,8 @@ def cmd_gridsim(args, out: RunOutputs) -> int:
 
 
 def cmd_study(args, out: RunOutputs) -> int:
+    for t in args.thresholds:  # whatever --study is, so a bad one costs no oracle run
+        check_drop_threshold(t)
     config, net, profile, evalset = _build_context(args, need_evalset=True)
     spec_hash = _hash_for(args, need_evalset=True)
     table = build_table(profile, config)

@@ -94,8 +94,9 @@ class PoCCriteria:
 
 @dataclass
 class DiscretePDF:
-    """Sampling units: one per (layer, type, bit) class, or per single site
-    when `var_index >= 0`. `members` sites share each unit uniformly."""
+    """Sampling units, no two of which share a site: one per (layer, type,
+    bit) class, or per single site when `var_index >= 0`. `members` sites
+    share each unit uniformly."""
 
     layer_ids: np.ndarray
     type_codes: np.ndarray  # index into list(FFType)
@@ -107,18 +108,12 @@ class DiscretePDF:
     utilization: np.ndarray  # u of each unit's layer, as in its table class
     exact_integrand: bool = False  # built from oracle p*A; zero weights are safe
     _cum: np.ndarray = field(init=False, repr=False)
-    # each unit's (layer, type, bit) class, numbered in sorted order
-    _unit_class: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.any(self.weights < 0) or not np.any(self.weights > 0):
             raise ValueError("PDF weights must be >= 0 with at least one > 0")
         self._cum = np.cumsum(self.weights / self.weights.sum())
         self._cum[-1] = 1.0
-        layer, code, bit = (np.asarray(a, dtype=np.int64)
-                            for a in (self.layer_ids, self.type_codes, self.bit_pos))
-        key = ((layer - layer.min()) * len(_FFTYPES) + code) * (bit.max() + 1) + bit
-        self._unit_class = np.unique(key, return_inverse=True)[1]
 
     @property
     def n_units(self) -> int:
@@ -305,9 +300,9 @@ def _check_coverage(pdf: DiscretePDF, table: SiteProbabilityTable):
 
 
 class _SiteMemo:
-    """A(j) of every site drawn so far in one run. Each draw is keyed by an
-    integer unique to its site: the (layer, type, bit) of its unit times a
-    span above every var index, plus its var. Sites missing from the memo
+    """A(j) of every site drawn so far in one run. A draw is keyed by its unit
+    times a span above every var index, plus its var: an integer unique to
+    its site, as no two units of a PDF share one. Sites missing from the memo
     are built from the batch's columns and evaluated in first-draw order
     through `gather_accuracies`, so the evaluator sees the calls a
     per-sample loop with a site dictionary would make."""
@@ -321,7 +316,7 @@ class _SiteMemo:
 
     def lookup(self, units: np.ndarray, vars_: np.ndarray) -> np.ndarray:
         """A(j) of each draw (units[i], vars_[i])."""
-        keys = self.pdf._unit_class[units] * self.span + vars_
+        keys = units * self.span + vars_
         uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         pos = np.searchsorted(self.keys, uniq)
         known = pos < len(self.keys)
@@ -440,6 +435,12 @@ def ra_true_nc(table: SiteProbabilityTable, evaluator: Evaluator, sa: float) -> 
     return ra_from_accuracies(table, accs, sa)
 
 
+def check_drop_threshold(threshold: float) -> None:
+    """Refuse an accuracy-drop threshold of `fit_sdc_rates` outside (0, 1]."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} must be in (0, 1]")
+
+
 def fit_sdc_rates(
     evaluator: Evaluator,
     table: SiteProbabilityTable,
@@ -455,8 +456,7 @@ def fit_sdc_rates(
     comparable across hardening configurations. The global-control sites
     are the ones that crash.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    check_drop_threshold(threshold)
     fit_terms = []
     sdc_terms = []
     accs = class_accuracies(table.classes, table.bit_width, evaluator)

@@ -14,9 +14,9 @@ three corruption semantics:
 
 Faults are evaluated a chunk of variables of one (layer, type) class at a
 time, over every requested bit of each and every input of the evalset in
-one batch (:func:`prediction_batches`, :func:`faulty_predictions`); the
-accuracy of one site (:func:`accuracy`) counts the correct labels of such a
-batch. The flipped values come from ``formats.flip_bits``. The clean
+one batch (:func:`prediction_batches`, the one entry into the engine); the
+accuracy of one site (:func:`accuracy`) counts the correct labels of its
+batch of one. The flipped values come from ``formats.flip_bits``. The clean
 activations of the whole evalset, the weights in float64 and the receptive
 field of each conv, FC and max-pool layer are computed once
 (:class:`ActivationCache`). A receptive field (:class:`_ReceptiveField`)
@@ -818,34 +818,6 @@ def _frontier_predictions(
     return preds
 
 
-def faulty_predictions(
-    net: MicroNetwork,
-    fault: FaultSpec,
-    profile: NetworkProfile,
-    cache: ActivationCache,
-    bits,
-    var_indices=None,
-) -> np.ndarray:
-    """Predicted class of every cached input with the fault's variable
-    flipped, for each of ``bits``: an int array (len(bits), n_inputs),
-    CRASHED where the fault crashes the accelerator. ``fault.site`` names the
-    variable; its ``bit_pos`` is not read.
-
-    Given ``var_indices``, each of those variables of ``fault.site``'s
-    (layer, type) class is flipped in turn instead, in batches of variables
-    (:func:`prediction_batches`): (len(var_indices), len(bits), n_inputs).
-    """
-    bits = [int(b) for b in bits]
-    vs = [fault.site.var_index] if var_indices is None else var_indices
-    preds = np.empty((len(vs), len(bits), len(cache.acts[0])), dtype=np.intp)
-    for pos, p in prediction_batches(net, fault, profile, cache, bits, vs):
-        if len(pos) == len(vs):
-            preds = p  # one batch of every variable, as a live call makes
-        else:
-            preds[pos] = p
-    return preds[0] if var_indices is None else preds
-
-
 # --- evaluation ------------------------------------------------------------
 
 @dataclass
@@ -1002,5 +974,7 @@ def accuracy(
         raise ValueError("faulty accuracy requires the network profile")
     else:
         cache = ActivationCache(net, evalset) if cache is None else cache
-        preds = faulty_predictions(net, fault, profile, cache, [fault.site.bit_pos])
+        site = fault.site
+        ((_, preds),) = prediction_batches(net, fault, profile, cache, [site.bit_pos],
+                                           [site.var_index])
     return float(np.count_nonzero(preds == evalset.labels) / evalset.size)

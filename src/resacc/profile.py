@@ -79,7 +79,7 @@ class LayerStats:
     var_count: dict[FFType, int]
     utilization: float = 1.0
     # Index of the backing layer in the MicroNetwork this profile was derived
-    # from; -1 when the profile was loaded from a config file instead.
+    # from; -1 when the profile was built without a network.
     net_index: int = -1
 
 
@@ -90,7 +90,6 @@ class AcceleratorConfig:
     numeric_format: NumericFormat
     reuse: dict[FFType, int]
     bit_width: int = 0
-    control_global_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if self.bit_width == 0:
@@ -225,9 +224,6 @@ def validate_profile(
     for t, r in config.reuse.items():
         if r < 1:
             problems.append(f"config: reuse[{t.value}] = {r} must be >= 1")
-    frac = config.control_global_fraction
-    if not 0.0 <= frac <= 1.0:
-        problems.append(f"config: control_global_fraction {frac!r} outside [0, 1]")
     if config.bit_width != config.numeric_format.width:
         problems.append(
             f"config: bit_width {config.bit_width} does not match "
@@ -239,12 +235,12 @@ def validate_profile(
 # ---------------------------------------------------------------------------
 # Text serialization
 #
-# Flat "key = value" lines. Keys:
+# Flat "key = value" lines. A config takes the keys
 #   ff_count.<type>, raw_fit.<type>, bit_width, numeric_format, reuse.<type>,
-#   control_global_fraction, layer.<i>.mac_count, layer.<i>.var_count.<type>,
-#   layer.<i>.utilization
+#   control_global_fraction
 # <type> is one of the five FFType values, or "control" (for ff_count and
-# raw_fit) meaning a combined control count split by control_global_fraction.
+# raw_fit): a combined control count split by control_global_fraction (in
+# [0, 1], default 2/3), or a rate for each control type its own key omits.
 # ---------------------------------------------------------------------------
 
 def _elems(shape) -> int:
@@ -281,6 +277,8 @@ def config_from_text(text: str) -> AcceleratorConfig:
             raise ValueError(f"unrecognized config key: {key}")
     fmt = NumericFormat(kv.get("numeric_format", "FP32"))
     frac = float(kv.get("control_global_fraction", 2.0 / 3.0))
+    if not 0.0 <= frac <= 1.0:
+        raise ValueError(f"config: control_global_fraction {frac!r} outside [0, 1]")
 
     def typed_map(prefix: str, cast):
         out = {}
@@ -309,15 +307,13 @@ def config_from_text(text: str) -> AcceleratorConfig:
         ff.setdefault(t, 0)
         fit.setdefault(t, 0.0)
         reuse.setdefault(t, 1)
-    config = AcceleratorConfig(
+    return AcceleratorConfig(
         ff_count=ff,
         raw_fit=fit,
         numeric_format=fmt,
         reuse=reuse,
         bit_width=int(kv.get("bit_width", fmt.width)),
-        control_global_fraction=frac,
     )
-    return config
 
 
 def profile_to_text(profile: NetworkProfile) -> str:

@@ -278,11 +278,14 @@ def test_samples_with_poc_is_usage_error(cli_inputs, tmp_path, capsys, monkeypat
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize("command,extra", [
+    ("estimate", ["--strategy", "is", "--poc"]),
+    ("compare", ["--seeds", "0"]),
+    ("estimate", ["--strategy", "is", "--samples", "10"]),
+], ids=["estimate", "compare", "estimate_samples"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_threshold_is_validation_error(cli_inputs, tmp_path, capsys,
-                                                  command, value):
-    extra = ["--strategy", "is", "--poc"] if command == "estimate" else ["--seeds", "0"]
+                                                  command, extra, value):
     rc = main([command] + _with_eval(cli_inputs, tmp_path) + extra + ["--threshold", value])
     assert rc == EXIT_VALIDATION
     assert f"mean tolerance {float(value)!r}" in capsys.readouterr().err
@@ -295,6 +298,8 @@ def test_non_finite_threshold_is_validation_error(cli_inputs, tmp_path, capsys,
     ("estimate", ["--strategy", "is", "--poc", "--threshold", "nan"], "mean tolerance nan"),
     ("compare", ["--seeds", "0", "--max-samples", "-1"], "max_samples = -1 must be at least 1"),
     ("compare", ["--seeds", "0", "--threshold", "-0.1"], "mean tolerance -0.1"),
+    ("study", ["--study", "fitrate", "--thresholds", "0.2", "0"], "threshold 0.0 must be in (0, 1]"),
+    ("study", ["--study", "harden", "--thresholds", "nan"], "threshold nan must be in (0, 1]"),
 ])
 def test_poc_arguments_are_checked_before_the_oracle(cli_inputs, tmp_path, capsys, monkeypatch,
                                                      command, args, message):
@@ -764,6 +769,20 @@ def test_negative_harden_fit_is_validation_error(cli_inputs, tmp_path, capsys):
     assert "validation error: --harden-fit -5.0 must be finite and >= 0" in err
 
 
+def test_harden_fit_writes_the_rows_of_the_configured_rate(cli_inputs, tmp_path):
+    """`--harden weight --harden-fit 200` rates weights as `raw_fit.weight = 200` does."""
+    (tmp_path / "cfg.txt").write_text(_config_with("raw_fit.weight", "200.0"))
+    configured = dict(cli_inputs, config=str(tmp_path / "cfg.txt"))
+    runs = {"plain": (cli_inputs, []), "configured": (configured, []),
+            "hardened": (cli_inputs, ["--harden", "weight", "--harden-fit", "200"])}
+    rows = {}
+    for name, (inp, extra) in runs.items():
+        assert main(["probs"] + _common(inp, tmp_path / name) + extra) == EXIT_OK
+        rows[name] = read_csv(tmp_path / name / "probs.csv",
+                              "layer_id,var_type,per_var_per_bit_prob,class_total_prob")
+    assert rows["hardened"] == rows["configured"] != rows["plain"]
+
+
 @pytest.mark.parametrize("where", ["harden", "config"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_fit_rate_is_validation_error(cli_inputs, tmp_path, capsys, where, value):
@@ -788,6 +807,15 @@ def test_nan_control_global_fraction_is_validation_error(cli_inputs, tmp_path, c
     rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=text)
     assert rc == EXIT_VALIDATION
     assert "control_global_fraction nan outside [0, 1]" in err
+    # Refused before it splits a combined control count, naming itself alone.
+    for value in ("nan", "inf", "1.5"):
+        lines = [l for l in _config_with("control_global_fraction", value).splitlines()
+                 if not l.startswith("ff_count.control_")]
+        text = "\n".join(lines + ["ff_count.control = 170"]) + "\n"
+        rc, err = _probs(cli_inputs, tmp_path, capsys, config_text=text)
+        assert rc == EXIT_VALIDATION
+        assert err.endswith(f"config: control_global_fraction {float(value)!r} outside [0, 1]\n")
+        assert "ff_count" not in err
 
 
 @pytest.mark.parametrize("key", ["bogus", "bitwidth", "reuse.control"])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from predictions import faulty_predictions
 from reference_engine import CRASH, reference_accuracy, reference_infer, reference_output
 from reference_engine import _apply_layer as reference_apply_layer
 from resacc import kernels, microdnn
@@ -32,7 +33,6 @@ from resacc.microdnn import (
     MicroNetwork,
     ReLU,
     Softmax,
-    faulty_predictions,
     make_fault,
 )
 from resacc.oracle import exhaustive_ra, live_evaluator

@@ -25,7 +25,6 @@ from resacc.microdnn import (
     Softmax,
     accuracy,
     clean_activations,
-    faulty_predictions,
     forward,
     make_fault,
 )
@@ -39,6 +38,8 @@ from resacc.toynets import (
     make_pool_toy,
     make_skewed_toy,
 )
+
+from predictions import faulty_predictions
 
 
 def infer(net, x) -> int:

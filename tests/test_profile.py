@@ -154,6 +154,16 @@ class TestSerialization:
         restored = config_from_text(config_to_text(config))
         assert restored == config
 
+    def test_combined_control_keys_expand_to_per_type_keys(self):
+        """`ff_count.control` splits by the default fraction of 2/3, and
+        `raw_fit.control` rates each control type its own key omits."""
+        config = make_config(control_fit=50.0)  # 113 global and 56 local FFs
+        lines = [l for l in config_to_text(config).splitlines()
+                 if not l.startswith(("ff_count.control_", "raw_fit.control_local"))]
+        text = "\n".join(lines + ["ff_count.control = 169", "raw_fit.control = 80.0"])
+        expected = config.with_raw_fit({FFType.CONTROL_LOCAL: 80.0})
+        assert config_from_text(text) == expected
+
     def test_profile_round_trip(self):
         prof = derive_profile(make_dense_toy(), make_config(), utilization={1: 0.75})
         restored = profile_from_text(profile_to_text(prof))

@@ -20,7 +20,6 @@ def config_to_text(config: AcceleratorConfig) -> str:
     lines.append(f"numeric_format = {config.numeric_format.value}")
     for t in FFType:
         lines.append(f"reuse.{t.value} = {config.reuse.get(t, 1)}")
-    lines.append(f"control_global_fraction = {config.control_global_fraction!r}")
     return "\n".join(lines) + "\n"
 
 
